@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import InvalidInputError
 from .reporting import write_csv
@@ -177,7 +177,7 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int, n_bins: int = 20) -> Histogram
         edges = np.linspace(-window, window, n_bins + 1)
 
     observed, _ = np.histogram(x, bins=edges)
-    probs = np.diff(norm.cdf(edges, loc=0.0, scale=sigma))
+    probs = np.diff(ndtr(edges / sigma))
     expected = spec.n_walkers * probs
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     per_bin = chi2 / len(observed)

@@ -259,9 +259,8 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
 
     t_max = params["t_max"]
     if t_max <= 0:
-        op = markov.build_master_operator(rates)
-        gap = -np.sort(np.linalg.eigvalsh(op.matrix))[-2]
-        t_max = 25.0 / gap
+        eigenvalues, _ = markov.build_master_operator(rates).spectrum
+        t_max = 25.0 / -eigenvalues[-2]
     grid = np.linspace(0.0, t_max, max(params["samples"], 2))
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {

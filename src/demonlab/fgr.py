@@ -97,7 +97,10 @@ class DecaySample:
     def curve(self, ts: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, empirical survival, analytic e^{-gamma t}) arrays."""
         ts = np.asarray(ts, dtype=float)
-        emp = np.array([self.survival(t) for t in ts])
+        if np.any(ts < 0):
+            raise InvalidInputError("time must be nonnegative")
+        idx = np.searchsorted(self.waiting_times, ts, side="left")
+        emp = (self.n_samples - idx) / self.n_samples
         return ts, emp, np.exp(-self.gamma * ts)
 
     def to_csv(self, path: str | Path, ts: Sequence[float]) -> None:

@@ -13,7 +13,8 @@ Lyapunov function of the relaxation (the discrete H-theorem). Asymmetric
 input is rejected rather than silently accepted.
 
 All types are immutable after construction and all operations are pure,
-so concurrent use needs no locking.
+so concurrent use needs no locking; the values cached on first use (a rate
+matrix's operator and its eigendecomposition) are deterministic.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -42,10 +43,6 @@ from .units import NATURAL_UNITS, UnitSystem
 #: States with probability at or below this floor make the entropy-production
 #: formula diverge; callers must clamp to >= this value first.
 PROB_FLOOR = 1e-15
-
-#: Largest state count handled by the dense matrix exponential; above this,
-#: evolve() switches to adaptive ODE stepping. A performance knob only.
-EXPM_MAX_STATES = 64
 
 _PROB_SUM_TOL = 1e-12
 
@@ -88,6 +85,12 @@ class RateMatrix:
         n_comp, _ = connected_components(adjacency, directed=False)
         return n_comp == 1
 
+    @cached_property
+    def _operator(self) -> "MasterOperator":
+        m = self.rates.copy()
+        np.fill_diagonal(m, -(self.rates.sum(axis=0)))
+        return MasterOperator(m)
+
 
 @dataclass(frozen=True)
 class MasterOperator:
@@ -102,6 +105,13 @@ class MasterOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues (all <= 0; the largest, 0, is the equilibrium's)
+        and orthonormal eigenvector columns of the symmetric L, computed once."""
+        w, v = eigh(self.matrix)
+        return _freeze(w), _freeze(v)
 
 
 @dataclass(frozen=True)
@@ -135,28 +145,29 @@ class ProbDist:
 
 
 def build_master_operator(rates: RateMatrix) -> MasterOperator:
-    """Assemble L from the rates; each diagonal entry is minus its column sum."""
-    r = rates.rates
-    m = r.copy()
-    np.fill_diagonal(m, -(r.sum(axis=0)))
-    return MasterOperator(m)
+    """Assemble L from the rates; each diagonal entry is minus its column sum.
+    Built once per RateMatrix, so every caller shares it and its spectrum."""
+    return rates._operator
 
 
-def _clamped_dist(raw: np.ndarray) -> ProbDist:
-    # Integrator output may carry O(1e-15) negatives; anything worse is a bug.
+def _clamped(raw: np.ndarray) -> np.ndarray:
+    """Clip the rounding negatives of propagated rows and renormalise each row."""
+    if not np.all(np.isfinite(raw)):
+        raise NumericError("evolution produced non-finite entries")
+    # Propagation may carry O(1e-15) negatives; anything worse is a bug.
     if raw.min() < -1e-12:
         raise NumericError(f"evolution produced entry {raw.min()!r} below -1e-12")
     clipped = np.clip(raw, 0.0, None)
-    return ProbDist(clipped / clipped.sum())
+    return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
-def evolve(p0: ProbDist, op: MasterOperator, t: float, method: str = "auto") -> ProbDist:
+def evolve(p0: ProbDist, op: MasterOperator, t: float) -> ProbDist:
     """Propagate p0 for time t >= 0 under dp/dt = L p.
 
-    Uses the dense matrix exponential (Pade scaling-and-squaring) for
-    n <= EXPM_MAX_STATES and adaptive high-order explicit stepping above;
-    both reproduce the two-state closed form p1(t) = 1/2 + (p1(0)-1/2)e^{-2rt}
-    well inside 1e-10.
+    Uses the dense matrix exponential (Pade scaling-and-squaring), which
+    stays accurate on stiff generators and reproduces the two-state closed
+    form p1(t) = 1/2 + (p1(0)-1/2)e^{-2rt} well inside 1e-10. For many
+    times of one operator, trajectory() is cheaper.
     """
     if not math.isfinite(t):
         raise NumericError(f"time must be finite, got {t}")
@@ -166,27 +177,17 @@ def evolve(p0: ProbDist, op: MasterOperator, t: float, method: str = "auto") -> 
         raise InvalidInputError(f"dimension mismatch: p0 has {p0.n} states, operator {op.n}")
     if t == 0.0:
         return p0
-    if method == "auto":
-        method = "expm" if op.n <= EXPM_MAX_STATES else "ode"
-    if method == "expm":
-        raw = expm(op.matrix * t) @ p0.p
-    elif method == "ode":
-        sol = solve_ivp(
-            lambda _t, y: op.matrix @ y,
-            (0.0, t),
-            p0.p,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        if not sol.success:
-            raise NumericError(f"ODE integration failed: {sol.message}")
-        raw = sol.y[:, -1]
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    if not np.all(np.isfinite(raw)):
-        raise NumericError("evolution produced non-finite entries")
-    return _clamped_dist(raw)
+    return ProbDist(_clamped(expm(op.matrix * t) @ p0.p))
+
+
+def _propagate(p0: ProbDist, op: MasterOperator, ts: np.ndarray) -> np.ndarray:
+    """Rows p(t) for every t in ts, from the operator's cached spectrum."""
+    if p0.n != op.n:
+        raise InvalidInputError(f"dimension mismatch: p0 has {p0.n} states, operator {op.n}")
+    if np.any(ts < 0) or not np.all(np.isfinite(ts)):
+        raise InvalidInputError("times must be finite and nonnegative")
+    w, v = op.spectrum
+    return _clamped((np.exp(np.outer(ts, w)) * (v.T @ p0.p)) @ v.T)
 
 
 def trajectory(p0: ProbDist, op: MasterOperator, ts: Sequence[float]) -> list[ProbDist]:
@@ -195,23 +196,29 @@ def trajectory(p0: ProbDist, op: MasterOperator, ts: Sequence[float]) -> list[Pr
     Exact for symmetric generators (which is all build_master_operator makes),
     and much cheaper than one matrix exponential per sample.
     """
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0) or not np.all(np.isfinite(ts)):
-        raise InvalidInputError("times must be finite and nonnegative")
-    w, v = eigh(op.matrix)
-    coeffs = v.T @ p0.p
-    out = []
-    for t in ts:
-        raw = v @ (np.exp(w * t) * coeffs)
-        out.append(_clamped_dist(raw))
-    return out
+    return [ProbDist(row) for row in _propagate(p0, op, np.asarray(ts, dtype=float))]
+
+
+def _entropies(p: np.ndarray, k: float) -> np.ndarray:
+    """-k sum p ln p along the last axis, with 0 ln 0 = 0."""
+    return -k * np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+
+
+def _production_rates(p: np.ndarray, generator: np.ndarray, k: float) -> np.ndarray:
+    """-k sum_i ln p_i (L p)_i along the last axis; zero entries count as ln 1.
+
+    Equal to the pairwise form because the columns of L sum to zero, which
+    also lets the logs be centred: that removes their common offset, which
+    would otherwise multiply the rounding error of sum_i (L p)_i.
+    """
+    logs = np.log(np.where(p > 0.0, p, 1.0))
+    logs -= logs.mean(axis=-1, keepdims=True)
+    return -k * np.sum(logs * (p @ generator.T), axis=-1)
 
 
 def shannon_entropy(p: ProbDist, units: UnitSystem = NATURAL_UNITS) -> float:
     """-k sum_i p_i ln p_i, with the convention 0 ln 0 = 0. Units of k."""
-    v = p.p
-    nz = v[v > 0.0]
-    return float(-units.k * np.sum(nz * np.log(nz)))
+    return float(_entropies(p.p, units.k))
 
 
 def max_entropy(n: int, units: UnitSystem = NATURAL_UNITS) -> float:
@@ -224,49 +231,39 @@ def entropy_production_rate(
 ) -> float:
     """dS/dt along the relaxation: (k/2) sum_ij r_ij (ln p_j - ln p_i)(p_j - p_i).
 
-    Both factors always share a sign, so the result is nonnegative. States
+    Both factors always share a sign, so the result is nonnegative; it is
+    evaluated in the equal generator form -k sum_i ln p_i (L p)_i. States
     with p_i = 0 that have a nonzero rate attached make the sum diverge;
     that is a real singularity of the formula, so it raises DivergenceError
     instead of returning a clamped value.
     """
     if p.n != rates.n:
         raise InvalidInputError("dimension mismatch between distribution and rates")
-    v = p.p
-    r = rates.rates
-    zero = v <= 0.0
-    if np.any(zero):
-        touched = r[zero, :].sum(axis=1) > 0.0
-        if np.any(touched):
-            raise DivergenceError(
-                "entropy-production rate diverges: zero-probability state has "
-                f"nonzero rates attached (clamp probabilities to >= {PROB_FLOOR})"
-            )
-    # Log of zero-probability *untouched* states is multiplied by r = 0; give
-    # it a harmless finite value so the product is 0 rather than nan.
-    logs = np.log(np.where(zero, 1.0, v))
-    dlog = logs[None, :] - logs[:, None]
-    dp = v[None, :] - v[:, None]
-    return float(0.5 * units.k * np.sum(r * dlog * dp))
+    zero = p.p <= 0.0
+    if np.any(rates.rates[zero, :] > 0.0):
+        raise DivergenceError(
+            "entropy-production rate diverges: zero-probability state has "
+            f"nonzero rates attached (clamp probabilities to >= {PROB_FLOOR})"
+        )
+    # A zero-probability state without rates has a zero row in L, so its
+    # stand-in log contributes nothing.
+    return float(_production_rates(p.p, build_master_operator(rates).matrix, units.k))
 
 
 def equilibrium_distribution(rates: RateMatrix) -> ProbDist:
-    """Stationary distribution: the null vector of L, normalized.
+    """Stationary distribution: the uniform distribution, exactly.
 
-    For symmetric rates on a connected graph this is the uniform
-    distribution, and it satisfies detailed balance r_ij p_j = r_ji p_i
-    entrywise. A disconnected graph has no unique equilibrium.
+    Symmetric rates make the rows of L sum to zero as well as its columns,
+    so the uniform vector is in the null space of L; a connected graph makes
+    that null space one-dimensional. The uniform distribution satisfies
+    detailed balance r_ij p_j = r_ji p_i entrywise. A disconnected graph has
+    no unique equilibrium.
     """
     if not rates.is_connected():
         raise NonUniqueEquilibriumError(
             "transition graph is disconnected; equilibrium is not unique"
         )
-    op = build_master_operator(rates)
-    w, v = eigh(op.matrix)
-    vec = v[:, np.argmax(w)]  # eigenvalues are <= 0; the largest is 0
-    if vec.sum() < 0:
-        vec = -vec
-    vec = np.clip(vec, 0.0, None)
-    return ProbDist(vec / vec.sum())
+    return ProbDist.uniform(rates.n)
 
 
 def detailed_balance_residual(rates: RateMatrix, p: ProbDist) -> float:
@@ -328,7 +325,8 @@ def verify_h_theorem(
     The verdict is monotone=True iff the sampled entropy never decreases by
     more than 1e-12 between consecutive samples. p0 must be interior
     (all entries > PROB_FLOOR); samples are floored there before the
-    production rate is evaluated, per the documented regularization.
+    production rate is evaluated, per the documented regularization. All
+    samples are computed at once, as one array with a row per time.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if ts.size < 1:
@@ -341,18 +339,12 @@ def verify_h_theorem(
         )
     op = build_master_operator(rates)
     p_eq = equilibrium_distribution(rates)
-    samples = trajectory(p0, op, ts)
-
-    entropy = np.empty(ts.size)
-    production = np.empty(ts.size)
-    dist = np.empty(ts.size)
-    for i, dist_i in enumerate(samples):
-        entropy[i] = shannon_entropy(dist_i, units)
-        floored = np.clip(dist_i.p, PROB_FLOOR, None)
-        production[i] = entropy_production_rate(
-            ProbDist(floored / floored.sum()), rates, units
-        )
-        dist[i] = np.max(np.abs(dist_i.p - p_eq.p))
+    samples = _propagate(p0, op, ts)
+    entropy = _entropies(samples, units.k)
+    floored = np.clip(samples, PROB_FLOOR, None)
+    floored /= floored.sum(axis=1, keepdims=True)
+    production = _production_rates(floored, op.matrix, units.k)
+    dist = np.max(np.abs(samples - p_eq.p), axis=1)
 
     monotone = bool(np.all(np.diff(entropy) >= -1e-12))
     return HTheoremReport(
@@ -377,19 +369,13 @@ def random_symmetric_rates(
     """Random connected symmetric rates: spanning tree plus optional extra edges."""
     if n < 2:
         raise InvalidInputError("need at least 2 states")
-    r = np.zeros((n, n))
+    # State order[i] attaches to a uniformly chosen earlier state of the order.
     order = rng.permutation(n)
-    for idx in range(1, n):
-        a = order[idx]
-        b = order[rng.integers(0, idx)]
-        w = rng.uniform(low, high)
-        r[a, b] = r[b, a] = w
-    for i in range(n):
-        for j in range(i + 1, n):
-            if r[i, j] == 0.0 and rng.random() < extra_edge_prob:
-                w = rng.uniform(low, high)
-                r[i, j] = r[j, i] = w
-    return RateMatrix(r)
+    edges = np.triu(rng.random((n, n)) < extra_edge_prob, 1)
+    edges[order[1:], order[rng.integers(0, np.arange(1, n))]] = True
+    edges = np.triu(edges | edges.T, 1)
+    upper = np.where(edges, rng.uniform(low, high, (n, n)), 0.0)
+    return RateMatrix(upper + upper.T)
 
 
 def rate_matrix_from_text(path: str | Path) -> RateMatrix:
@@ -410,4 +396,8 @@ def rate_matrix_from_json(path: str | Path) -> RateMatrix:
         raise InvalidInputError(f"cannot parse JSON from {path}: {exc}") from exc
     if not isinstance(doc, dict) or "rates" not in doc:
         raise InvalidInputError('JSON rate file must contain a "rates" field')
-    return RateMatrix(np.asarray(doc["rates"], dtype=float))
+    try:
+        rates = np.asarray(doc["rates"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f'"rates" in {path} is not a numeric matrix: {exc}') from exc
+    return RateMatrix(rates)

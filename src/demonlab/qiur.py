@@ -296,6 +296,8 @@ def wavefunction_from_csv(path: str | Path, normalize: bool = True) -> Wavefunct
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 3:
+                    raise ValueError(f"line {reader.line_num} has {len(row)} fields, need 3")
                 xs.append(float(row[0]))
                 res.append(float(row[1]))
                 ims.append(float(row[2]))

@@ -221,6 +221,59 @@ class TestExitContract:
         assert json.loads(out.read_text())["seed"] == 31
 
 
+class TestErrorsAtSource:
+    @pytest.mark.parametrize(
+        "argv, filename, content",
+        [
+            (["h-theorem", "--rates-file"], "rates.json", '{"rates": "abc"}'),
+            (["h-theorem", "--rates-file"], "rates.json", '{"rates": [[0, 1], [1]]}'),
+            (["h-theorem", "--states", "3", "--p0", "0.5,0.5"], None, None),
+            (["qiur", "--input"], "psi.csv", "x,re,im\n0,1,0\n1,1\n2,1,0\n"),
+        ],
+        ids=["rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row"],
+    )
+    def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
+        if filename:
+            path = tmp_path / filename
+            path.write_text(content)
+            argv = [*argv, str(path)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: ")
+        assert "Traceback" not in captured.err
+
+
+class TestCost:
+    def test_import_skips_scipy_stats_and_integrate(self):
+        code = (
+            "import sys, demonlab.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_h_theorem_decomposes_once(self, monkeypatch):
+        from demonlab import markov
+
+        calls = []
+        eigh = markov.eigh
+
+        def counted_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(markov, "eigh", counted_eigh)
+        args = cli.build_parser().parse_args(["h-theorem", "--states", "12"])
+        report = cli.run(cli.resolve_config("h-theorem", args))
+        assert all(report["verdicts"].values())
+        assert calls == [(12, 12)]
+
+
 class TestReproducibility:
     def test_byte_identical_reports_excluding_wall_time(self, tmp_path):
         # identical invocation twice, including the output path in the config

@@ -117,6 +117,14 @@ class TestSimulateDecay:
         sample = fgr.simulate_decay(1.0, 100, rng_seed=0)
         with pytest.raises(InvalidInputError):
             sample.survival(-1.0)
+        with pytest.raises(InvalidInputError):
+            sample.curve([0.0, -1.0])
+
+    def test_curve_equals_pointwise_survival(self):
+        sample = fgr.simulate_decay(1.3, 50_000, rng_seed=10)
+        ts = np.concatenate([np.linspace(0.0, 6.0, 501), sample.waiting_times[:5], [1e9]])
+        _, emp, _ = sample.curve(ts)
+        assert np.array_equal(emp, np.array([sample.survival(t) for t in ts]))
 
     def test_csv_emission(self, tmp_path):
         sample = fgr.simulate_decay(1.0, 1000, rng_seed=9)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -60,7 +61,30 @@ class TestProbDist:
         assert np.allclose(u.p, 0.25) and u.n == 4
 
 
+class TestRandomSymmetricRates:
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_spanning_tree_without_extra_edges(self, n):
+        rates = markov.random_symmetric_rates(n, np.random.default_rng(n), extra_edge_prob=0.0)
+        assert rates.is_connected()
+        assert np.count_nonzero(np.triu(rates.rates)) == n - 1
+
+    def test_rates_in_range_and_extra_edges_added(self):
+        rates = markov.random_symmetric_rates(60, np.random.default_rng(20), 0.5, 2.0, 0.3)
+        edges = rates.rates[np.triu_indices(60, 1)]
+        present = edges[edges > 0.0]
+        assert present.min() >= 0.5 and present.max() < 2.0
+        # 59 tree edges plus about 0.3 of the other 1711 pairs
+        assert 0.25 < (present.size - 59) / 1711 < 0.35
+
+
 class TestBuildMasterOperator:
+    def test_built_once_per_rate_matrix(self):
+        rates = markov.random_symmetric_rates(5, np.random.default_rng(21))
+        op = markov.build_master_operator(rates)
+        assert markov.build_master_operator(rates) is op
+        assert op.spectrum is op.spectrum
+
+
     def test_two_state_unit_rate(self):
         op = markov.build_master_operator(TWO_STATE)
         assert np.array_equal(op.matrix, np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -133,22 +157,39 @@ class TestEvolve:
     @pytest.mark.parametrize("method", ["expm", "ode"])
     @pytest.mark.parametrize("rate", [0.1, 1.0, 10.0])
     def test_both_methods_match_closed_form(self, method, rate):
+        # "expm": evolve, the matrix exponential of the generator, one time at
+        # a time; "ode": trajectory, the master equation dp/dt = Lp solved in
+        # the eigenbasis of L for all times at once.
         rm = markov.RateMatrix([[0.0, rate], [rate, 0.0]])
         op = markov.build_master_operator(rm)
         p0 = markov.ProbDist([0.9, 0.1])
-        for t in (0.05, 0.7, 3.0):
-            out = markov.evolve(p0, op, t, method=method)
+        ts = (0.05, 0.7, 3.0)
+        if method == "expm":
+            outs = [markov.evolve(p0, op, t) for t in ts]
+        else:
+            outs = markov.trajectory(p0, op, ts)
+        for t, out in zip(ts, outs):
             assert out.p[0] == pytest.approx(two_state_closed_form(0.9, rate, t), abs=1e-10)
 
-    def test_auto_switches_to_ode_above_64_states(self):
+    def test_stiff_generator_agrees_with_trajectory_in_time(self):
+        # Rates log-uniform over six decades on a sparse graph, propagated to
+        # 1e4 over the largest escape rate: an explicit integrator needs about
+        # that many steps, the matrix exponential none of them.
         rng = np.random.default_rng(8)
-        rates = markov.random_symmetric_rates(80, rng)
+        n = 100
+        mask = np.triu(rng.random((n, n)) < 0.05, 1)
+        upper = np.where(mask, 10.0 ** rng.uniform(-3.0, 3.0, (n, n)), 0.0)
+        rates = markov.RateMatrix(upper + upper.T)
         op = markov.build_master_operator(rates)
-        raw = np.clip(rng.dirichlet(np.ones(80)), 1e-6, None)
+        raw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
-        auto = markov.evolve(p0, op, 1.5)
-        exp = markov.evolve(p0, op, 1.5, method="expm")
-        assert np.max(np.abs(auto.p - exp.p)) < 1e-10
+        t = 1e4 / rates.rates.sum(axis=0).max()
+        start = time.perf_counter()
+        out = markov.evolve(p0, op, t)
+        elapsed = time.perf_counter() - start
+        (reference,) = markov.trajectory(p0, op, [t])
+        assert np.max(np.abs(out.p - reference.p)) < 1e-10
+        assert elapsed < 1.0
 
     def test_probability_conserved_and_positive(self):
         rng = np.random.default_rng(4)
@@ -180,6 +221,16 @@ class TestEvolve:
         ts = [0.0, 0.2, 1.1, 5.0]
         for t, pt in zip(ts, markov.trajectory(p0, op, ts)):
             assert np.max(np.abs(pt.p - markov.evolve(p0, op, t).p)) < 1e-12
+
+
+def pairwise_production(p: np.ndarray, r: np.ndarray) -> float:
+    # reference: (1/2) sum_ij r_ij (ln p_j - ln p_i)(p_j - p_i), one pair at a time
+    total = 0.0
+    for i in range(p.size):
+        for j in range(p.size):
+            if r[i, j] > 0.0:
+                total += r[i, j] * (math.log(p[j]) - math.log(p[i])) * (p[j] - p[i])
+    return 0.5 * total
 
 
 class TestShannonEntropy:
@@ -226,6 +277,20 @@ class TestEntropyProductionRate:
             raw = np.clip(rng.dirichlet(np.ones(n)), 1e-9, None)
             p = markov.ProbDist(raw / raw.sum())
             assert markov.entropy_production_rate(p, rates) >= -1e-12
+
+    @pytest.mark.parametrize("n", [8, 64, 300])
+    def test_generator_form_matches_pairwise_sum(self, n):
+        rng = np.random.default_rng(n)
+        rates = markov.random_symmetric_rates(n, rng)
+        op = markov.build_master_operator(rates)
+        raw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
+        p0 = markov.ProbDist(raw / raw.sum())
+        ts = np.linspace(0.0, 25.0 / -op.spectrum[0][-2], 6)
+        report = markov.verify_h_theorem(rates, p0, ts)
+        for sample, production in zip(markov.trajectory(p0, op, ts), report.production_rate):
+            reference = pairwise_production(sample.p, rates.rates)
+            assert abs(markov.entropy_production_rate(sample, rates) - reference) < 1e-12
+            assert abs(production - reference) < 1e-12
 
     def test_zero_probability_with_rate_diverges(self):
         with pytest.raises(DivergenceError):
@@ -334,6 +399,14 @@ class TestVerifyHTheorem:
             report = markov.verify_h_theorem(rates, p0, np.linspace(0.0, 10.0, 15))
             assert report.monotone
             assert report.min_production >= -1e-12
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            markov.verify_h_theorem(
+                markov.random_symmetric_rates(3, np.random.default_rng(19)),
+                markov.ProbDist([0.5, 0.5]),
+                [0.0, 1.0],
+            )
 
     def test_boundary_p0_rejected(self):
         with pytest.raises(InvalidInputError):
