@@ -2,9 +2,10 @@
 
 Each case runs in-process through ``cli.main`` in a scratch directory. Its
 stdout, with the ``"wall_time_s"`` line stripped, must equal
-``golden/<case>.stdout`` byte for byte, and a CSV report written with
-``--output`` must equal ``golden/<case>.csv``. A golden file changes only in
-a change that says why in CHANGES.md. To re-record some or all cases:
+``golden/<case>.stdout`` byte for byte, and a report written with
+``--output`` must equal ``golden/<case>.csv`` or ``golden/<case>.json`` (a
+JSON report with its ``"wall_time_s"`` line stripped too). A golden file
+changes only in a change that says why in CHANGES.md. To re-record some or all cases:
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
 """
@@ -29,6 +30,7 @@ GOLDEN = Path(__file__).with_name("golden")
 
 #: Relative paths keep the report's "config" block independent of the directory.
 REPORT = "report.csv"
+JSON_REPORT = "report.json"
 RATES = "rates.json"
 
 CASES: dict[str, list[str]] = {
@@ -42,9 +44,13 @@ CASES: dict[str, list[str]] = {
     "szilard": ["szilard"],
     "szilard-si": ["szilard", "--si", "--cycles", "3"],
     "szilard-csv": ["szilard", "--cycles", "5", "--format", "csv", "--output", REPORT],
+    "szilard-json": ["szilard", "--cycles", "3", "--output", JSON_REPORT],
     "speed-demon": ["speed-demon"],
+    "speed-demon-csv": ["speed-demon", "--format", "csv", "--output", REPORT],
     "einstein": ["einstein"],
     "einstein-si": ["einstein", "--si", "--energy", "1e-18", "--frequency", "1e14"],
+    "einstein-brillouin-csv": ["einstein", "--brillouin-b", "10", "--info-fraction", "1e-6",
+                               "--format", "csv", "--output", REPORT],
     "brownian": ["brownian"],
     "brownian-csv": ["brownian", "--step-law", "gaussian", "--sigma-step", "2.0",
                      "--format", "csv", "--output", REPORT],
@@ -55,8 +61,8 @@ def strip_wall_time(body: str) -> str:
     return re.sub(r'^\s*"wall_time_s":.*\n', "", body, flags=re.MULTILINE)
 
 
-def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
-    """Run one case in workdir: exit code, stdout, CSV report or None."""
+def run_case(name: str, workdir: Path) -> tuple[int, str, dict[str, bytes]]:
+    """Run one case in workdir: exit code, stdout, report bytes by suffix."""
     shutil.copy(GOLDEN / RATES, workdir / RATES)
     out = io.StringIO()
     cwd = os.getcwd()
@@ -66,32 +72,38 @@ def run_case(name: str, workdir: Path) -> tuple[int, str, bytes | None]:
             code = cli.main(CASES[name])
     finally:
         os.chdir(cwd)
-    report = workdir / REPORT
-    csv_bytes = report.read_bytes() if report.exists() else None
-    return code, out.getvalue(), csv_bytes
+    reports = {}
+    for path in (workdir / REPORT, workdir / JSON_REPORT):
+        if path.exists():
+            body = path.read_bytes()
+            if path.suffix == ".json":
+                body = strip_wall_time(body.decode()).encode()
+            reports[path.suffix] = body
+    return code, out.getvalue(), reports
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("DEMONLAB_SEED", raising=False)
-    code, stdout, csv_bytes = run_case(name, tmp_path)
+    code, stdout, reports = run_case(name, tmp_path)
     assert strip_wall_time(stdout).encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert code == (0 if all(json.loads(stdout)["verdicts"].values()) else 1)
-    expected_csv = GOLDEN / f"{name}.csv"
-    if csv_bytes is None:
-        assert not expected_csv.exists()
-    else:
-        assert csv_bytes == expected_csv.read_bytes()
+    for suffix in (".csv", ".json"):
+        expected = GOLDEN / f"{name}{suffix}"
+        if suffix in reports:
+            assert reports[suffix] == expected.read_bytes()
+        else:
+            assert not expected.exists()
 
 
 def record(names: list[str]) -> None:
     os.environ.pop("DEMONLAB_SEED", None)
     for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            _code, stdout, csv_bytes = run_case(name, Path(tmp))
+            _code, stdout, reports = run_case(name, Path(tmp))
         (GOLDEN / f"{name}.stdout").write_bytes(strip_wall_time(stdout).encode())
-        if csv_bytes is not None:
-            (GOLDEN / f"{name}.csv").write_bytes(csv_bytes)
+        for suffix, body in reports.items():
+            (GOLDEN / f"{name}{suffix}").write_bytes(body)
         print(f"recorded {name}")
 
 
