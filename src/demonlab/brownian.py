@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidInputError
-from .reporting import write_csv
+from .errors import InvalidInputError, require_positive
 
 STEP_PLUS_MINUS_ONE = "plus_minus_one"
 STEP_GAUSSIAN = "gaussian"
@@ -46,8 +44,7 @@ class WalkSpec:
             raise InvalidInputError("n_walkers must be >= 1")
         if self.step_law not in STEP_LAWS:
             raise InvalidInputError(f"step_law must be one of {STEP_LAWS}")
-        if not (self.sigma_step > 0 and math.isfinite(self.sigma_step)):
-            raise InvalidInputError("sigma_step must be positive")
+        require_positive("sigma_step", self.sigma_step)
 
     @property
     def step_variance(self) -> float:
@@ -79,13 +76,30 @@ class DiffusionReport:
     fitted_D: float
     analytic_D: float
     r_squared: float
+    msd_expected: float
+    spec: WalkSpec
 
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(
-            path,
-            ("t", "mean_displacement", "msd"),
-            zip(self.times.tolist(), self.mean_displacement.tolist(), self.msd.tolist()),
+    CSV_HEADER = ("t", "mean_displacement", "msd")
+
+    def to_rows(self) -> list[tuple[float, float, float]]:
+        return list(
+            zip(self.times.tolist(), self.mean_displacement.tolist(), self.msd.tolist())
         )
+
+    def verdicts(self) -> dict[str, bool]:
+        """Final MSD and mean within 3 standard errors of n var_step and 0 (the
+        MSD's SE is the spread of x^2 over the walkers); R^2 > 0.999."""
+        n, walkers, msd_expected = self.spec.n_steps, self.spec.n_walkers, self.msd_expected
+        if self.spec.step_law == STEP_PLUS_MINUS_ONE:
+            msd_se = math.sqrt(2.0 * n * (n - 1) / walkers)
+        else:
+            msd_se = math.sqrt(2.0) * msd_expected / math.sqrt(walkers)
+        mean_se = math.sqrt(msd_expected / walkers)
+        return {
+            "msd_within_3sigma": bool(abs(self.msd[-1] - msd_expected) <= 3.0 * msd_se),
+            "mean_within_3sigma": bool(abs(self.mean_displacement[-1]) <= 3.0 * mean_se),
+            "msd_fit_linear": bool(self.r_squared > 0.999),
+        }
 
 
 def simulate_walks(spec: WalkSpec) -> DiffusionReport:
@@ -128,6 +142,8 @@ def simulate_walks(spec: WalkSpec) -> DiffusionReport:
         fitted_D=float(slope / 2.0),
         analytic_D=spec.step_variance / 2.0,
         r_squared=r_squared,
+        msd_expected=n * spec.step_variance,
+        spec=spec,
     )
 
 

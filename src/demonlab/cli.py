@@ -7,28 +7,26 @@ are hard errors. Reports are JSON with stable key ordering, so two runs
 with the same effective config and seed emit byte-identical bodies apart
 from the wall_time_s field. Exit status: 0 when every scenario verdict
 passes, 1 on scenario failure or error, 2 on usage errors.
+
+The CLI parses, imports the scenario's module (and numpy) only when that
+scenario runs, runs it and emits. Each report defines its own verdicts and
+their tolerances, and a report with a table its CSV columns (CSV_HEADER,
+to_rows); other scenarios write reporting.kv_rows of their derived values.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from . import __version__
-from . import brownian as brw
-from . import fgr as fgrmod
-from . import fluctuations as fluct
-from . import markov, qiur, speed_demon, szilard
 from .errors import DemonlabError, InvalidInputError
-from .reporting import json_dumps, write_csv, write_json
+from .reporting import KV_HEADER, json_dumps, kv_rows, write_csv, write_json
 from .units import UnitSystem
 
 
@@ -91,7 +89,7 @@ SCENARIO_PARAMS: dict[str, dict[str, tuple[type, Any]]] = {
     "brownian": {
         "steps": (int, 100),
         "walkers": (int, 10_000),
-        "step_law": (str, brw.STEP_PLUS_MINUS_ONE),
+        "step_law": (str, "plus_minus_one"),  # brownian.STEP_PLUS_MINUS_ONE
         "sigma_step": (float, 1.0),
     },
 }
@@ -206,43 +204,20 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(scenario=scenario, params=params)
 
 
-def _pyify(obj: Any) -> Any:
-    """Convert numpy scalars/arrays so json can serialize deterministically."""
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
-
-
-CsvPayload = tuple[tuple[str, ...], list[tuple]]
-RunnerResult = tuple[dict[str, Any], dict[str, bool], CsvPayload]
-
-
-def _kv_rows(derived: dict[str, Any]) -> CsvPayload:
-    return ("key", "value"), [(k, v) for k, v in sorted(derived.items())]
-
-
-def _binomial_3sigma(p: float, n: int) -> float:
-    return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+#: (derived values, verdicts, the report that owns the CSV table or None).
+RunnerResult = tuple[dict[str, Any], dict[str, bool], Any]
 
 
 def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+    import numpy as np
+
+    from . import markov
+
     rng = np.random.default_rng(seed)
-    if params["rates_file"]:
-        path = params["rates_file"]
-        if str(path).endswith(".json"):
-            rates = markov.rate_matrix_from_json(path)
-        else:
-            rates = markov.rate_matrix_from_text(path)
+    if params["rates_file"].endswith(".json"):
+        rates = markov.rate_matrix_from_json(params["rates_file"])
+    elif params["rates_file"]:
+        rates = markov.rate_matrix_from_text(params["rates_file"])
     else:
         rates = markov.random_symmetric_rates(params["states"], rng)
     n = rates.n
@@ -257,10 +232,7 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         draw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
         p0 = markov.ProbDist(draw / draw.sum())
 
-    t_max = params["t_max"]
-    if t_max <= 0:
-        eigenvalues, _ = markov.build_master_operator(rates).spectrum
-        t_max = 25.0 / -eigenvalues[-2]
+    t_max = params["t_max"] if params["t_max"] > 0 else 25.0 / markov.spectral_gap(rates)
     grid = np.linspace(0.0, t_max, max(params["samples"], 2))
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {
@@ -272,43 +244,25 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         "min_production": report.min_production,
         "t_max": t_max,
     }
-    verdicts = {
-        "entropy_monotone": report.monotone,
-        "production_nonnegative": bool(report.min_production >= -1e-12),
-    }
-    return derived, verdicts, (("t", "S", "dSdt", "dist_to_eq"), report.to_rows())
+    return derived, report.verdicts(), report
 
 
 def _run_fgr(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
-    gamma = params["gamma"]
-    sample = fgrmod.simulate_decay(gamma, params["samples"], seed)
-    check_ts = [math.log(2.0) / gamma, 1.0 / gamma, 2.0 / gamma]
-    survival_ok = True
-    checks = []
-    for t in check_ts:
-        emp = sample.survival(t)
-        ana = math.exp(-gamma * t)
-        tol = _binomial_3sigma(ana, sample.n_samples)
-        survival_ok &= abs(emp - ana) <= tol
-        checks.append({"t": t, "empirical": emp, "analytic": ana, "tol_3sigma": tol})
-    mean = sample.mean_waiting_time()
-    mean_tol = 3.0 / (gamma * math.sqrt(sample.n_samples))
+    from . import fgr
+
+    sample = fgr.simulate_decay(params["gamma"], params["samples"], seed)
     derived = {
-        "gamma": gamma,
-        "lifetime": 1.0 / gamma,
-        "mean_waiting_time": mean,
-        "checks": checks,
+        "gamma": sample.gamma,
+        "lifetime": 1.0 / sample.gamma,
+        "mean_waiting_time": sample.mean_waiting_time(),
+        "checks": sample.survival_checks,
     }
-    verdicts = {
-        "survival_within_3sigma": bool(survival_ok),
-        "mean_within_3sigma": bool(abs(mean - 1.0 / gamma) <= mean_tol),
-    }
-    ts, emp, ana = sample.curve(np.linspace(0.0, 5.0 / gamma, 51))
-    rows = list(zip(ts.tolist(), emp.tolist(), ana.tolist()))
-    return derived, verdicts, (("t", "empirical_survival", "analytic_survival"), rows)
+    return derived, sample.verdicts(), sample
 
 
 def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+    from . import qiur
+
     if params["input"]:
         psi = qiur.wavefunction_from_csv(params["input"])
     elif params["box_length"] > 0:
@@ -316,11 +270,12 @@ def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     else:
         psi = qiur.gaussian_packet(params["sigma_x"], units, n=params["grid_n"])
     report = qiur.entropy_report(psi, units)
-    verdicts = {"bound_satisfied": report["satisfied"]}
-    return dict(report), verdicts, _kv_rows(dict(report))
+    return report, {"bound_satisfied": report["satisfied"]}, None
 
 
 def _run_szilard(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+    from . import szilard
+
     box = szilard.EngineBox(
         length_L=params["length"],
         temperature_T=params["temperature"],
@@ -329,23 +284,20 @@ def _run_szilard(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     ledger = szilard.run_cycle(
         box, params["cycles"], seed, units, convention=params["convention"]
     )
-    insertion = ledger.entries[0].delta_s
     derived = {
         "cycles": params["cycles"],
-        "insertion_dS": insertion,
+        "insertion_dS": ledger.entries[0].delta_s,
         "net_dS": ledger.net_entropy(),
         "net_work": ledger.net_work(),
         "work_per_cycle": ledger.net_work() / params["cycles"],
         "sides": "".join(s[0] for s in ledger.sides),
     }
-    verdicts = {
-        "prefix_nonnegative": ledger.prefix_nonnegative(),
-        "net_entropy_zero": bool(abs(ledger.net_entropy()) <= 1e-12),
-    }
-    return derived, verdicts, (("cycle", "step_label", "dS", "dW", "cum_dS"), ledger.to_rows())
+    return derived, ledger.verdicts(), ledger
 
 
 def _run_speed_demon(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+    from . import speed_demon
+
     gas = speed_demon.GasSpec(temperature_T=params["temperature"], mass_m=params["mass"])
     if params["nu_low"] > 0:
         probe = speed_demon.ProbeSpec(params["nu_low"])
@@ -358,18 +310,12 @@ def _run_speed_demon(params: dict, units: UnitSystem, seed: int) -> RunnerResult
     report = speed_demon.simulate_sorting(
         gas, probe, speed_demon.SortingGeometry(door), params["attempts"], seed, units
     )
-    derived = report.to_dict()
-    tol = _binomial_3sigma(report.analytic_passage, report.n_attempts)
-    verdicts = {
-        "sorting_infeasible": report.sorting_infeasible,
-        "mc_within_3sigma": bool(
-            abs(report.empirical_passage - report.analytic_passage) <= tol
-        ),
-    }
-    return derived, verdicts, _kv_rows(derived)
+    return asdict(report), report.verdicts(), None
 
 
 def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+    from . import fluctuations as fluct
+
     if params["energy"] > 0 and params["frequency"] > 0:
         spec = fluct.FluctuationSpec.from_radiation(
             params["energy"], params["frequency"], params["volume_ratio"], 1.0, units
@@ -380,75 +326,40 @@ def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
             volume_v=params["volume_ratio"],
             volume_v0=1.0,
         )
-    ds = fluct.gas_entropy_change(spec, units)
-    prob = fluct.fluctuation_probability(spec)
-    identity_gap = abs(math.exp(ds / units.k) - prob)
-    derived: dict[str, Any] = {
-        "n_components": spec.n_components,
-        "volume_ratio": spec.volume_ratio,
-        "dS": ds,
-        "probability": prob,
-        "identity_gap": identity_gap,
-    }
-    verdicts: dict[str, bool] = {"identity_ok": bool(identity_gap <= 1e-12)}
-    if params["trials"] > 0:
-        emp = fluct.monte_carlo_fluctuation(spec, params["trials"], seed)
-        tol = _binomial_3sigma(prob, params["trials"])
-        derived["mc_probability"] = emp
-        derived["mc_tol_3sigma"] = tol
-        verdicts["mc_within_3sigma"] = bool(abs(emp - prob) <= tol)
+    brillouin = None
     if params["brillouin_b"] > 0:
-        bspec = fluct.BrillouinSpec(
+        brillouin = fluct.BrillouinSpec(
             temperature_T=1.0,
             nu1=params["brillouin_b"] * units.k / units.h,
             p0_count=1.0,
             p_info=params["info_fraction"],
         )
-        balance = fluct.brillouin_balance(bspec, units)
-        derived["brillouin"] = balance
-        verdicts["brillouin_net_positive"] = bool(balance["net"] > 0)
-    flat = {k: v for k, v in derived.items() if not isinstance(v, dict)}
-    return derived, verdicts, _kv_rows(flat)
+    derived, verdicts = fluct.fluctuation_report(
+        spec, params["trials"], seed, brillouin, units
+    )
+    return derived, verdicts, None
 
 
 def _run_brownian(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
-    spec = brw.WalkSpec(
+    from . import brownian
+
+    spec = brownian.WalkSpec(
         n_steps=params["steps"],
         n_walkers=params["walkers"],
         rng_seed=seed,
         step_law=params["step_law"],
         sigma_step=params["sigma_step"],
     )
-    report = brw.simulate_walks(spec)
-    n = spec.n_steps
-    var_step = spec.step_variance
-    msd_expected = n * var_step
-    if spec.step_law == brw.STEP_PLUS_MINUS_ONE:
-        msd_se = math.sqrt(2.0 * n * (n - 1) / spec.n_walkers)
-    else:
-        msd_se = math.sqrt(2.0) * msd_expected / math.sqrt(spec.n_walkers)
-    mean_se = math.sqrt(msd_expected / spec.n_walkers)
+    report = brownian.simulate_walks(spec)
     derived = {
         "msd_final": report.msd[-1],
-        "msd_expected": msd_expected,
+        "msd_expected": report.msd_expected,
         "mean_final": report.mean_displacement[-1],
         "fitted_D": report.fitted_D,
         "analytic_D": report.analytic_D,
         "r_squared": report.r_squared,
     }
-    verdicts = {
-        "msd_within_3sigma": bool(abs(report.msd[-1] - msd_expected) <= 3.0 * msd_se),
-        "mean_within_3sigma": bool(abs(report.mean_displacement[-1]) <= 3.0 * mean_se),
-        "msd_fit_linear": bool(report.r_squared > 0.999),
-    }
-    rows = list(
-        zip(
-            report.times.tolist(),
-            report.mean_displacement.tolist(),
-            report.msd.tolist(),
-        )
-    )
-    return derived, verdicts, (("t", "mean_displacement", "msd"), rows)
+    return derived, report.verdicts(), report
 
 
 RUNNERS: dict[str, Callable[[dict, UnitSystem, int], RunnerResult]] = {
@@ -463,16 +374,16 @@ RUNNERS: dict[str, Callable[[dict, UnitSystem, int], RunnerResult]] = {
 
 
 def run(config: RunConfig) -> dict[str, Any]:
-    """Execute the scenario and return the full report dictionary."""
+    """Execute the scenario, write its --output file, and return the report."""
     start = time.perf_counter()
-    derived, verdicts, csv_payload = RUNNERS[config.scenario](
+    derived, verdicts, table = RUNNERS[config.scenario](
         config.params, config.units(), config.seed
     )
     report = {
         "scenario": config.scenario,
-        "config": _pyify(dict(config.params)),
-        "derived": _pyify(derived),
-        "verdicts": _pyify(verdicts),
+        "config": dict(config.params),
+        "derived": derived,
+        "verdicts": verdicts,
         "seed": config.seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
@@ -482,9 +393,10 @@ def run(config: RunConfig) -> dict[str, Any]:
         try:
             if config.params["format"] == "json":
                 write_json(output, report)
+            elif table is None:
+                write_csv(output, KV_HEADER, kv_rows(derived))
             else:
-                header, rows = csv_payload
-                write_csv(output, header, _pyify(rows))
+                write_csv(output, table.CSV_HEADER, table.to_rows())
         except OSError as exc:
             raise UsageError(f"cannot write output {output}: {exc}") from exc
     return report
@@ -498,17 +410,12 @@ def main(argv: list[str] | None = None) -> int:
         print("demonlab: error: a scenario subcommand is required", file=sys.stderr)
         return 2
     try:
-        config = resolve_config(args.scenario, args)
-    except UsageError as exc:
-        print(f"demonlab: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run(config)
+        report = run(resolve_config(args.scenario, args))
     except UsageError as exc:
         print(f"demonlab: error: {exc}", file=sys.stderr)
         return 2
     except DemonlabError as exc:
-        print(f"demonlab {config.scenario}: error: {exc}", file=sys.stderr)
+        print(f"demonlab {args.scenario}: error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(json_dumps(report))
     return 0 if all(report["verdicts"].values()) else 1

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all demonlab modules."""
 
+import math
+
 
 class DemonlabError(Exception):
     """Base class for all demonlab errors."""
@@ -29,3 +31,9 @@ class NonUniqueEquilibriumError(DemonlabError):
 
 class NumericError(DemonlabError):
     """A computation produced non-finite or otherwise unusable values."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise InvalidInputError unless value is finite and > 0."""
+    if not (value > 0 and math.isfinite(value)):
+        raise InvalidInputError(f"{name} must be positive, got {value!r}")

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .reporting import write_csv
+from .errors import InvalidInputError, require_positive
+from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
 
 
@@ -48,8 +48,7 @@ class ExcitedLevel:
     units: UnitSystem = NATURAL_UNITS
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise InvalidInputError("gamma must be positive")
+        require_positive("gamma", self.gamma)
         expected = self.units.hbar * self.gamma
         if abs(self.width - expected) > 1e-12 * expected:
             raise InvalidInputError(
@@ -74,6 +73,8 @@ def lifetime(level: ExcitedLevel) -> float:
 @dataclass(frozen=True)
 class DecaySample:
     """Sorted exponential waiting times from one seeded simulation."""
+
+    CSV_HEADER = ("t", "empirical_survival", "analytic_survival")
 
     gamma: float
     seed: int
@@ -103,13 +104,34 @@ class DecaySample:
         emp = (self.n_samples - idx) / self.n_samples
         return ts, emp, np.exp(-self.gamma * ts)
 
-    def to_csv(self, path: str | Path, ts: Sequence[float]) -> None:
+    def to_rows(self, ts: Sequence[float] | None = None) -> list[tuple[float, float, float]]:
+        """Curve rows; by default at 51 times from 0 to 5 lifetimes."""
+        if ts is None:
+            ts = np.linspace(0.0, 5.0 / self.gamma, 51)
         t, emp, ana = self.curve(ts)
-        write_csv(
-            path,
-            ("t", "empirical_survival", "analytic_survival"),
-            zip(t.tolist(), emp.tolist(), ana.tolist()),
-        )
+        return list(zip(t.tolist(), emp.tolist(), ana.tolist()))
+
+    @cached_property
+    def survival_checks(self) -> list[dict[str, float]]:
+        """Survival at ln 2, 1 and 2 lifetimes against e^{-gamma t}, each with
+        its binomial 3-sigma tolerance."""
+        checks = []
+        for t in (math.log(2.0) / self.gamma, 1.0 / self.gamma, 2.0 / self.gamma):
+            p = math.exp(-self.gamma * t)
+            tol = binomial_3sigma(p, self.n_samples)
+            checks.append({"t": t, "empirical": self.survival(t), "analytic": p, "tol_3sigma": tol})
+        return checks
+
+    def verdicts(self) -> dict[str, bool]:
+        """Each survival check within its tolerance; the mean waiting time within
+        3 / (gamma sqrt(n)), i.e. 3 sigma, of the lifetime 1 / gamma."""
+        mean_tol = 3.0 / (self.gamma * math.sqrt(self.n_samples))
+        return {
+            "survival_within_3sigma": all(
+                abs(c["empirical"] - c["analytic"]) <= c["tol_3sigma"] for c in self.survival_checks
+            ),
+            "mean_within_3sigma": abs(self.mean_waiting_time() - 1.0 / self.gamma) <= mean_tol,
+        }
 
 
 def simulate_decay(gamma: float, n_samples: int, rng_seed: int) -> DecaySample:
@@ -118,8 +140,7 @@ def simulate_decay(gamma: float, n_samples: int, rng_seed: int) -> DecaySample:
     Inverse CDF: t = -ln(1 - U)/gamma with U uniform on [0, 1), so a fixed
     seed yields a bit-identical survival curve.
     """
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise InvalidInputError("gamma must be positive")
+    require_positive("gamma", gamma)
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
     rng = np.random.default_rng(rng_seed)

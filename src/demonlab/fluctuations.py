@@ -27,7 +27,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_positive
+from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Monte-Carlo trials place N points each; beyond this N the all-inside
@@ -56,10 +57,8 @@ class FluctuationSpec:
     def __post_init__(self) -> None:
         if not (self.n_components >= 1 and math.isfinite(self.n_components)):
             raise InvalidInputError("n_components must be >= 1")
-        if not (self.volume_v > 0 and math.isfinite(self.volume_v)):
-            raise InvalidInputError("volume_v must be positive")
-        if not (self.volume_v0 > 0 and math.isfinite(self.volume_v0)):
-            raise InvalidInputError("volume_v0 must be positive")
+        require_positive("volume_v", self.volume_v)
+        require_positive("volume_v0", self.volume_v0)
         if self.volume_v > self.volume_v0 and not self.allow_expansion:
             raise InvalidInputError(
                 "V > V0 requires allow_expansion=True (sign of dS flips)"
@@ -84,10 +83,8 @@ class FluctuationSpec:
         allow_expansion: bool = False,
     ) -> "FluctuationSpec":
         """Spec with N = E / (h nu); the integer-rounding remainder is recorded."""
-        if not (energy > 0 and math.isfinite(energy)):
-            raise InvalidInputError("energy must be positive")
-        if not (frequency > 0 and math.isfinite(frequency)):
-            raise InvalidInputError("frequency must be positive")
+        require_positive("energy", energy)
+        require_positive("frequency", frequency)
         n = energy / (units.h * frequency)
         return cls(
             n_components=n,
@@ -113,8 +110,7 @@ def radiation_entropy_change(
     """k (E / h nu) ln(V/V0); the gas formula with N read off the radiation."""
     if energy < 0 or not math.isfinite(energy):
         raise InvalidInputError("energy must be finite and nonnegative")
-    if not (frequency > 0 and math.isfinite(frequency)):
-        raise InvalidInputError("frequency must be positive")
+    require_positive("frequency", frequency)
     if not (volume_v > 0 and volume_v0 > 0):
         raise InvalidInputError("volumes must be positive")
     return units.k * (energy / (units.h * frequency)) * math.log(volume_v / volume_v0)
@@ -166,12 +162,9 @@ class BrillouinSpec:
     p_info: float
 
     def __post_init__(self) -> None:
-        if not (self.temperature_T > 0 and math.isfinite(self.temperature_T)):
-            raise InvalidInputError("temperature_T must be positive")
-        if not (self.nu1 > 0 and math.isfinite(self.nu1)):
-            raise InvalidInputError("nu1 must be positive")
-        if not (self.p0_count > 0 and math.isfinite(self.p0_count)):
-            raise InvalidInputError("p0_count must be positive")
+        require_positive("temperature_T", self.temperature_T)
+        require_positive("nu1", self.nu1)
+        require_positive("p0_count", self.p0_count)
         if not (0 <= self.p_info < self.p0_count):
             raise InvalidInputError("p_info must satisfy 0 <= p_info < p0_count")
 
@@ -197,3 +190,34 @@ def brillouin_balance(
         "net": ds_demon + ds_gas_exact,
         "net_approx": ds_demon + ds_gas_approx,
     }
+
+
+def fluctuation_report(
+    spec: FluctuationSpec,
+    n_trials: int,
+    rng_seed: int,
+    brillouin: BrillouinSpec | None = None,
+    units: UnitSystem = NATURAL_UNITS,
+) -> tuple[dict[str, Any], dict[str, bool]]:
+    """Derived values and verdicts: exp(dS/k) = W within 1e-12, the Monte-Carlo
+    frequency within 3 sigma of W (if n_trials > 0), and a positive Brillouin
+    net balance (if a BrillouinSpec is given)."""
+    ds = gas_entropy_change(spec, units)
+    prob = fluctuation_probability(spec)
+    gap = abs(math.exp(ds / units.k) - prob)
+    derived: dict[str, Any] = {
+        "n_components": spec.n_components,
+        "volume_ratio": spec.volume_ratio,
+        "dS": ds,
+        "probability": prob,
+        "identity_gap": gap,
+    }
+    verdicts = {"identity_ok": gap <= 1e-12}
+    if n_trials > 0:
+        emp = derived["mc_probability"] = monte_carlo_fluctuation(spec, n_trials, rng_seed)
+        tol = derived["mc_tol_3sigma"] = binomial_3sigma(prob, n_trials)
+        verdicts["mc_within_3sigma"] = abs(emp - prob) <= tol
+    if brillouin is not None:
+        derived["brillouin"] = brillouin_balance(brillouin, units)
+        verdicts["brillouin_net_positive"] = derived["brillouin"]["net"] > 0
+    return derived, verdicts

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_positive
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Hard floor on grid sizes for entropy work; coarser grids alias badly.
@@ -44,8 +44,7 @@ def _check_grid(amps: np.ndarray, spacing: float, kind: str) -> np.ndarray:
         raise InvalidInputError(f"{kind} amplitudes must be one-dimensional")
     if a.size < MIN_GRID_POINTS:
         raise InvalidInputError(f"{kind} grid needs at least {MIN_GRID_POINTS} points")
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise InvalidInputError(f"{kind} spacing must be positive")
+    require_positive(f"{kind} spacing", spacing)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{kind} amplitudes contain non-finite values")
     norm = np.sum(np.abs(a) ** 2) * spacing
@@ -109,10 +108,8 @@ class GaussianState:
     sigma_p: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma_x > 0 and math.isfinite(self.sigma_x)):
-            raise InvalidInputError("sigma_x must be positive")
-        if not (self.sigma_p > 0 and math.isfinite(self.sigma_p)):
-            raise InvalidInputError("sigma_p must be positive")
+        require_positive("sigma_x", self.sigma_x)
+        require_positive("sigma_p", self.sigma_p)
 
     def uncertainty_product(self) -> float:
         return self.sigma_x * self.sigma_p
@@ -163,8 +160,7 @@ def differential_entropy(density: np.ndarray, spacing: float) -> float:
     rho = np.asarray(density, dtype=float)
     if rho.ndim != 1:
         raise InvalidInputError("density must be one-dimensional")
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise InvalidInputError("spacing must be positive")
+    require_positive("spacing", spacing)
     if np.any(rho < 0) or not np.all(np.isfinite(rho)):
         raise InvalidInputError("density must be finite and nonnegative")
     total = rho.sum() * spacing
@@ -176,8 +172,7 @@ def differential_entropy(density: np.ndarray, spacing: float) -> float:
 
 def gaussian_information(sigma: float) -> float:
     """Closed-form differential entropy of a Gaussian: (1/2) ln(2 pi sigma^2 e)."""
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise InvalidInputError("sigma must be positive")
+    require_positive("sigma", sigma)
     return 0.5 * math.log(2.0 * math.pi * sigma * sigma * math.e)
 
 
@@ -188,10 +183,7 @@ def qiur_bound(units: UnitSystem = NATURAL_UNITS) -> float:
 
 def joint_information(psi: WavefunctionGrid, units: UnitSystem = NATURAL_UNITS) -> float:
     """I(x) + I(p) on the grid; always >= ln(he/2) up to discretization slack."""
-    phi = to_momentum(psi, units)
-    return differential_entropy(psi.density(), psi.dx) + differential_entropy(
-        phi.density(), phi.dp
-    )
+    return entropy_report(psi, units)["joint"]
 
 
 def thermodynamic_entropy(phi: MomentumGrid, units: UnitSystem = NATURAL_UNITS) -> float:
@@ -230,17 +222,22 @@ def gaussian_packet(
     mass near machine epsilon. Pass a larger span to refine the conjugate
     momentum grid (dp = h / span).
     """
-    if not (sigma_x > 0 and math.isfinite(sigma_x)):
-        raise InvalidInputError("sigma_x must be positive")
+    require_positive("sigma_x", sigma_x)
+    variance = 2.0 * math.pi * (sigma_x * sigma_x)
+    if not (variance > 0 and math.isfinite(variance)):
+        raise InvalidInputError(f"sigma_x = {sigma_x!r} gives a zero or non-finite variance")
     width = span if span is not None else 2.0 * n_sigma * sigma_x
     dx = width / n
     x0 = center - (n // 2) * dx
     xs = x0 + dx * np.arange(n)
-    amps = (2.0 * math.pi * sigma_x**2) ** -0.25 * np.exp(
+    amps = variance**-0.25 * np.exp(
         -((xs - center) ** 2) / (4.0 * sigma_x**2)
         + 1j * momentum * (xs - center) / units.hbar
     )
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
+    norm = float(np.sum(np.abs(amps) ** 2) * dx)
+    if not (norm > 0 and math.isfinite(norm)):
+        raise InvalidInputError("packet has zero or non-finite amplitudes on the grid")
+    amps /= math.sqrt(norm)
     return WavefunctionGrid(x0=x0, dx=dx, amps=amps)
 
 
@@ -253,8 +250,7 @@ def box_ground_state(
     the slowly decaying |phi|^2 tail is resolved. The default n is twice the
     Gaussian default: the kinked box edges converge only as dx^2.
     """
-    if not (length > 0 and math.isfinite(length)):
-        raise InvalidInputError("length must be positive")
+    require_positive("length", length)
     if span_factor < 2:
         raise InvalidInputError("span_factor must be >= 2 to contain the box")
     width = span_factor * length
@@ -301,6 +297,8 @@ def wavefunction_from_csv(path: str | Path, normalize: bool = True) -> Wavefunct
                 xs.append(float(row[0]))
                 res.append(float(row[1]))
                 ims.append(float(row[2]))
+    except InvalidInputError:
+        raise
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

@@ -19,32 +19,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_positive
 from .qiur import GaussianState, gaussian_information
-from .reporting import write_json
+from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
 
 
 @dataclass(frozen=True)
 class GasSpec:
-    """Gas temperature, molecule mass, and molecule count."""
+    """Gas temperature and molecule mass."""
 
     temperature_T: float
     mass_m: float
-    n_molecules: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.temperature_T > 0 and math.isfinite(self.temperature_T)):
-            raise InvalidInputError("temperature_T must be positive")
-        if not (self.mass_m > 0 and math.isfinite(self.mass_m)):
-            raise InvalidInputError("mass_m must be positive")
-        if self.n_molecules < 1:
-            raise InvalidInputError("n_molecules must be >= 1")
+        require_positive("temperature_T", self.temperature_T)
+        require_positive("mass_m", self.mass_m)
 
 
 @dataclass(frozen=True)
@@ -54,16 +48,14 @@ class ProbeSpec:
     nu_low: float
 
     def __post_init__(self) -> None:
-        if not (self.nu_low > 0 and math.isfinite(self.nu_low)):
-            raise InvalidInputError("nu_low must be positive")
+        require_positive("nu_low", self.nu_low)
 
     @classmethod
     def from_energy_ratio(
         cls, gas: GasSpec, ratio: float, units: UnitSystem = NATURAL_UNITS
     ) -> "ProbeSpec":
         """Probe with h*nu_low = kT / ratio."""
-        if not (ratio > 0 and math.isfinite(ratio)):
-            raise InvalidInputError("ratio must be positive")
+        require_positive("ratio", ratio)
         return cls(nu_low=units.k * gas.temperature_T / (ratio * units.h))
 
 
@@ -74,8 +66,7 @@ class SortingGeometry:
     door_size_d: float
 
     def __post_init__(self) -> None:
-        if not (self.door_size_d > 0 and math.isfinite(self.door_size_d)):
-            raise InvalidInputError("door_size_d must be positive")
+        require_positive("door_size_d", self.door_size_d)
 
 
 def _warn_if_hard_probe(gas: GasSpec, probe: ProbeSpec, units: UnitSystem) -> None:
@@ -93,8 +84,7 @@ def rms_momentum(gas: GasSpec, units: UnitSystem = NATURAL_UNITS) -> float:
 
 def max_door_size(sigma_p: float, units: UnitSystem = NATURAL_UNITS) -> float:
     """Largest leak-free door for momentum spread sigma_p: h / (4 pi sigma_p)."""
-    if not (sigma_p > 0 and math.isfinite(sigma_p)):
-        raise InvalidInputError("sigma_p must be positive")
+    require_positive("sigma_p", sigma_p)
     return units.h / (4.0 * math.pi * sigma_p)
 
 
@@ -170,28 +160,17 @@ class SortingReport:
     sorting_usable_change: float
     seed: int
 
-    def to_dict(self) -> dict:
+    def verdicts(self) -> dict[str, bool]:
+        """Sorting infeasible (sigma_x / d > 1), and the Monte-Carlo passage
+        frequency within 3 sigma of the analytic probability p, i.e.
+        |emp - p| <= 3 sqrt(p (1 - p) / n)."""
+        tol = binomial_3sigma(self.analytic_passage, self.n_attempts)
         return {
-            "p_rms": self.p_rms,
-            "max_door": self.max_door,
-            "sigma_p_post": self.sigma_p_post,
-            "sigma_x_post": self.sigma_x_post,
-            "feasibility_ratio": self.feasibility_ratio,
             "sorting_infeasible": self.sorting_infeasible,
-            "door_size": self.door_size,
-            "n_attempts": self.n_attempts,
-            "n_passed": self.n_passed,
-            "empirical_passage": self.empirical_passage,
-            "analytic_passage": self.analytic_passage,
-            "injected_energy": self.injected_energy,
-            "dS_momentum": self.dS_momentum,
-            "dI_position": self.dI_position,
-            "sorting_usable_change": self.sorting_usable_change,
-            "seed": self.seed,
+            "mc_within_3sigma": bool(
+                abs(self.empirical_passage - self.analytic_passage) <= tol
+            ),
         }
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
 
 
 def simulate_sorting(
@@ -218,7 +197,6 @@ def simulate_sorting(
     analytic = float(erf(d / (2.0 * math.sqrt(2.0) * spreads.sigma_x)))
     p_rms = rms_momentum(gas, units)
     door_max = max_door_size(p_rms, units)
-    ledger = information_ledger(gas, probe, units)
     ratio = spreads.sigma_x / door_max
     return SortingReport(
         p_rms=p_rms,
@@ -233,8 +211,6 @@ def simulate_sorting(
         empirical_passage=n_passed / n_attempts,
         analytic_passage=analytic,
         injected_energy=n_attempts * units.h * probe.nu_low,
-        dS_momentum=ledger["dS_momentum"],
-        dI_position=ledger["dI_position"],
-        sorting_usable_change=ledger["sorting_usable_change"],
+        **information_ledger(gas, probe, units),
         seed=rng_seed,
     )

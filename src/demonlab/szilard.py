@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError, InvalidStateError, require_positive
 from .qiur import GaussianState
-from .reporting import write_csv, write_json
 from .units import NATURAL_UNITS, UnitSystem
 
 SIDE_WHOLE = "whole"
@@ -58,9 +56,7 @@ class EngineBox:
 
     def __post_init__(self) -> None:
         for name in ("length_L", "temperature_T", "mass_m"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise InvalidInputError(f"{name} must be positive, got {v!r}")
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -162,6 +158,8 @@ class LedgerEntry:
 class EntropyLedger:
     """Ordered entropy/work record; prefix sums certify the Second Law."""
 
+    CSV_HEADER = ("cycle", "step_label", "dS", "dW", "cum_dS")
+
     entries: list[LedgerEntry] = field(default_factory=list)
     sides: list[str] = field(default_factory=list)
 
@@ -182,30 +180,15 @@ class EntropyLedger:
         return bool(cum.size == 0 or cum.min() >= -tol)
 
     def to_rows(self) -> list[tuple]:
-        rows = []
-        cum = 0.0
-        for e in self.entries:
-            cum += e.delta_s
-            rows.append((e.cycle, e.label, e.delta_s, e.delta_w, cum))
-        return rows
+        cum = self.cumulative_entropy().tolist()
+        return [(e.cycle, e.label, e.delta_s, e.delta_w, c) for e, c in zip(self.entries, cum)]
 
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, ("cycle", "step_label", "dS", "dW", "cum_dS"), self.to_rows())
-
-    def to_dict(self) -> dict:
+    def verdicts(self) -> dict[str, bool]:
+        """No prefix of the ledger below -1e-12, and a net of zero within 1e-12."""
         return {
-            "entries": [
-                {"cycle": e.cycle, "step_label": e.label, "dS": e.delta_s, "dW": e.delta_w}
-                for e in self.entries
-            ],
-            "sides": list(self.sides),
-            "net_dS": self.net_entropy(),
-            "net_work": self.net_work(),
             "prefix_nonnegative": self.prefix_nonnegative(),
+            "net_entropy_zero": bool(abs(self.net_entropy()) <= 1e-12),
         }
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
 
 
 def run_cycle(

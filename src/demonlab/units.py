@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import require_positive
 
 #: 2019 SI exact values.
 BOLTZMANN_SI = 1.380649e-23   # J/K
@@ -26,10 +26,8 @@ class UnitSystem:
     h: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise InvalidInputError(f"Boltzmann constant must be positive, got {self.k}")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise InvalidInputError(f"Planck constant must be positive, got {self.h}")
+        require_positive("Boltzmann constant", self.k)
+        require_positive("Planck constant", self.h)
 
     @property
     def hbar(self) -> float:

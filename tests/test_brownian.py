@@ -1,5 +1,6 @@
 """Random-walk diffusion: moments, coefficient fit, central-limit histogram."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 
 from demonlab import brownian as br
 from demonlab.errors import InvalidInputError
+from demonlab.reporting import write_csv
 
 
 def pm1_msd_standard_error(n_steps: int, n_walkers: int) -> float:
@@ -103,11 +105,23 @@ class TestSimulateWalks:
         spec = br.WalkSpec(n_steps=10, n_walkers=100, rng_seed=9)
         report = br.simulate_walks(spec)
         path = tmp_path / "walk.csv"
-        report.to_csv(path)
+        write_csv(path, report.CSV_HEADER, report.to_rows())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,mean_displacement,msd"
         assert len(lines) == 12
         assert lines[1].startswith("0.0,0.0,0.0")
+
+
+    @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
+    def test_verdicts_pass_and_catch_a_scaled_msd(self, law):
+        spec = br.WalkSpec(n_steps=100, n_walkers=20_000, rng_seed=12, step_law=law)
+        report = br.simulate_walks(spec)
+        assert report.msd_expected == 100.0
+        assert report.verdicts() == {
+            "msd_within_3sigma": True, "mean_within_3sigma": True, "msd_fit_linear": True
+        }
+        scaled = dataclasses.replace(report, msd=report.msd * 1.1)
+        assert scaled.verdicts()["msd_within_3sigma"] is False
 
 
 class TestHistogramVsGaussian:

@@ -222,6 +222,7 @@ class TestExitContract:
 
 
 class TestErrorsAtSource:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, filename, content",
         [
@@ -229,8 +230,13 @@ class TestErrorsAtSource:
             (["h-theorem", "--rates-file"], "rates.json", '{"rates": [[0, 1], [1]]}'),
             (["h-theorem", "--states", "3", "--p0", "0.5,0.5"], None, None),
             (["qiur", "--input"], "psi.csv", "x,re,im\n0,1,0\n1,1\n2,1,0\n"),
+            (["qiur", "--sigma-x", "1e-300"], None, None),
+            (["h-theorem", "--rates-file"], "rates.txt", "0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"),
         ],
-        ids=["rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row"],
+        ids=[
+            "rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row",
+            "sigma-x-underflow", "rates-disconnected",
+        ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
         if filename:
@@ -247,15 +253,21 @@ class TestErrorsAtSource:
 
 class TestCost:
     def test_import_skips_scipy_stats_and_integrate(self):
+        # The CLI imports a scenario's module, and numpy, only when it runs;
+        # these four scenarios need no scipy at all.
         code = (
-            "import sys, demonlab.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+            "import contextlib, io, sys, demonlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+            "for argv in (['szilard'], ['qiur', '--grid-n', '256'], ['fgr'], ['einstein']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert demonlab.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines() == ["[]", "[]"]
 
     def test_h_theorem_decomposes_once(self, monkeypatch):
         from demonlab import markov

@@ -7,6 +7,7 @@ import pytest
 
 from demonlab import fgr
 from demonlab.errors import InvalidInputError
+from demonlab.reporting import write_csv
 from demonlab.units import UnitSystem
 
 
@@ -129,9 +130,33 @@ class TestSimulateDecay:
     def test_csv_emission(self, tmp_path):
         sample = fgr.simulate_decay(1.0, 1000, rng_seed=9)
         path = tmp_path / "survival.csv"
-        sample.to_csv(path, np.linspace(0.0, 2.0, 5))
+        write_csv(path, sample.CSV_HEADER, sample.to_rows(np.linspace(0.0, 2.0, 5)))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,empirical_survival,analytic_survival"
         assert len(lines) == 6
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0 and float(first[2]) == 1.0
+
+    def test_default_rows_span_five_lifetimes(self):
+        sample = fgr.simulate_decay(2.0, 1000, rng_seed=9)
+        rows = sample.to_rows()
+        assert len(rows) == 51 and len(rows[0]) == len(sample.CSV_HEADER)
+        assert rows[0][0] == 0.0 and rows[-1][0] == 2.5
+
+
+class TestVerdicts:
+    def test_correct_sample_passes(self):
+        sample = fgr.simulate_decay(1.5, 100_000, rng_seed=3)
+        assert sample.verdicts() == {"survival_within_3sigma": True, "mean_within_3sigma": True}
+        assert [c["t"] for c in sample.survival_checks] == pytest.approx(
+            [math.log(2.0) / 1.5, 1.0 / 1.5, 2.0 / 1.5]
+        )
+
+    def test_wrong_rate_is_flagged(self):
+        # waiting times drawn at gamma = 1.05, checked against gamma = 1
+        drawn = fgr.simulate_decay(1.05, 100_000, rng_seed=3)
+        sample = fgr.DecaySample(1.0, 3, drawn.waiting_times)
+        assert sample.verdicts() == {
+            "survival_within_3sigma": False, "mean_within_3sigma": False
+        }
+

@@ -178,3 +178,24 @@ class TestBrillouinBalance:
             fl.BrillouinSpec(1.0, 1.0, 1.0, 1.0)  # p_info == p0_count
         with pytest.raises(InvalidInputError):
             fl.BrillouinSpec(-1.0, 1.0, 1.0, 0.0)
+
+
+class TestFluctuationReport:
+    def test_identity_only_without_trials(self):
+        spec = fl.FluctuationSpec(n_components=3.0, volume_v=0.5, volume_v0=1.0)
+        derived, verdicts = fl.fluctuation_report(spec, 0, rng_seed=0)
+        assert derived["probability"] == 0.125
+        assert derived["dS"] == pytest.approx(-3.0 * math.log(2.0), rel=1e-15)
+        assert verdicts == {"identity_ok": True}
+
+    def test_monte_carlo_and_brillouin_checks(self):
+        spec = fl.FluctuationSpec(n_components=3.0, volume_v=0.5, volume_v0=1.0)
+        bspec = fl.BrillouinSpec(temperature_T=1.0, nu1=10.0, p0_count=1.0, p_info=1e-6)
+        derived, verdicts = fl.fluctuation_report(spec, 20_000, 5, bspec)
+        assert derived["mc_tol_3sigma"] == pytest.approx(3.0 * math.sqrt(0.125 * 0.875 / 20_000))
+        assert derived["brillouin"] == fl.brillouin_balance(bspec)
+        assert verdicts == {
+            "identity_ok": True, "mc_within_3sigma": True, "brillouin_net_positive": True
+        }
+        assert all(type(v) is bool for v in verdicts.values())
+

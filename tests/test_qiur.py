@@ -33,6 +33,17 @@ class TestGrids:
         assert abs(np.sum(psi.density()) * psi.dx - 1.0) < 1e-12
 
 
+    @pytest.mark.parametrize("sigma_x", [1e-300, 1e-170, 1e155, 1e300])
+    def test_gaussian_packet_rejects_degenerate_widths(self, sigma_x):
+        # the variance 2 pi sigma_x^2 underflows to 0 or overflows to inf
+        with pytest.raises(InvalidInputError, match="variance"):
+            qiur.gaussian_packet(sigma_x)
+
+    def test_gaussian_packet_rejects_non_finite_amplitudes(self):
+        with pytest.raises(InvalidInputError, match="amplitudes"):
+            qiur.gaussian_packet(1.0, momentum=float("nan"))
+
+
 class TestToMomentum:
     def test_gaussian_width_at_hbar_one(self):
         # sigma_x = 1 with hbar = 1 transforms to sigma_p = 1/2
@@ -295,8 +306,11 @@ class TestEntropyReportAndCsv:
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n0,1,0\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as info:
             qiur.wavefunction_from_csv(path)
+        message = str(info.value)
+        assert message.count("expected header 'x,re,im'") == 1
+        assert message.count(str(path)) == 1 and "malformed" not in message
 
     def test_csv_nonuniform_spacing(self, tmp_path):
         path = tmp_path / "bad2.csv"

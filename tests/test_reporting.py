@@ -1,0 +1,34 @@
+"""Report emission helpers: JSON of numpy values, key/value rows, 3-sigma."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from demonlab.reporting import binomial_3sigma, json_dumps, kv_rows
+
+
+def test_json_of_numpy_values_equals_json_of_python_values():
+    values = {"b": np.bool_(True), "i": np.int64(7), "f": np.float64(0.1), "a": np.arange(3.0)}
+    plain = {"b": True, "i": 7, "f": 0.1, "a": [0.0, 1.0, 2.0]}
+    assert json_dumps(values) == json_dumps(plain)
+    assert json.loads(json_dumps(values)) == plain
+
+
+def test_json_rejects_unknown_objects():
+    with pytest.raises(TypeError):
+        json_dumps({"x": object()})
+
+
+def test_kv_rows_sorted_without_dicts():
+    derived = {"b": 2, "a": 1.5, "nested": {"net": 1.0}, "c": True}
+    assert kv_rows(derived) == [("a", 1.5), ("b", 2), ("c", True)]
+
+
+def test_binomial_3sigma():
+    assert binomial_3sigma(0.5, 100) == pytest.approx(0.15)
+    assert binomial_3sigma(0.125, 20_000) == 3.0 * math.sqrt(0.125 * 0.875 / 20_000)
+    assert binomial_3sigma(1.0, 10) == 0.0

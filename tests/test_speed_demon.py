@@ -1,6 +1,7 @@
 """Speed-sorting demon: thermal momentum, door bound, probe trade-off, MC."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -184,9 +185,10 @@ class TestSimulateSorting:
         assert report.sorting_infeasible
         assert report.injected_energy == pytest.approx(5_000 * probe.nu_low, rel=1e-14)
         assert abs(report.sorting_usable_change) < 1e-12
-        doc = report.to_dict()
+        doc = asdict(report)
         assert doc["n_attempts"] == 5_000
         assert doc["sorting_infeasible"] is True
+        assert report.verdicts() == {"sorting_infeasible": True, "mc_within_3sigma": True}
 
     def test_determinism(self):
         gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)

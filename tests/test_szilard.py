@@ -1,6 +1,5 @@
 """One-molecule engine: insertion cost, extracted work, ledger balance."""
 
-import json
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from scipy.integrate import quad
 
 from demonlab import szilard
 from demonlab.errors import InvalidInputError, InvalidStateError
+from demonlab.reporting import write_csv
 from demonlab.units import UnitSystem
 
 LN2 = math.log(2.0)
@@ -207,19 +207,22 @@ class TestLedgerEmission:
     def test_csv_columns(self, tmp_path):
         ledger = szilard.run_cycle(make_box(), 2, rng_seed=16)
         path = tmp_path / "ledger.csv"
-        ledger.to_csv(path)
+        write_csv(path, ledger.CSV_HEADER, ledger.to_rows())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "cycle,step_label,dS,dW,cum_dS"
         assert len(lines) == 5
         last = lines[-1].split(",")
         assert float(last[-1]) == 0.0
 
-    def test_json_schema(self, tmp_path):
+    def test_verdicts(self):
         ledger = szilard.run_cycle(make_box(), 2, rng_seed=17)
-        path = tmp_path / "ledger.json"
-        ledger.to_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["prefix_nonnegative"] is True
-        assert doc["net_dS"] == 0.0
-        assert len(doc["entries"]) == 4
-        assert set(doc["entries"][0]) == {"cycle", "step_label", "dS", "dW"}
+        assert ledger.verdicts() == {"prefix_nonnegative": True, "net_entropy_zero": True}
+        assert ledger.net_entropy() == 0.0
+        assert len(ledger.to_rows()) == 4
+
+    def test_verdicts_flag_an_unbalanced_ledger(self):
+        ledger = szilard.run_cycle(make_box(), 1, rng_seed=17)
+        ledger.append(2, "insertion", 2e-12, 0.0)
+        assert ledger.verdicts() == {"prefix_nonnegative": True, "net_entropy_zero": False}
+        ledger.append(2, "expansion", -4e-12, 0.0)
+        assert ledger.verdicts() == {"prefix_nonnegative": False, "net_entropy_zero": False}
