@@ -39,9 +39,12 @@ class TestGrids:
         with pytest.raises(InvalidInputError, match="variance"):
             qiur.gaussian_packet(sigma_x)
 
-    def test_gaussian_packet_rejects_non_finite_amplitudes(self):
+    @pytest.mark.filterwarnings("error")
+    def test_gaussian_packet_rejects_all_zero_amplitudes(self):
+        # the packet is far narrower than the rounding of x0 + (n//2)*dx, so
+        # every grid point lies many sigma_x from the center
         with pytest.raises(InvalidInputError, match="amplitudes"):
-            qiur.gaussian_packet(1.0, momentum=float("nan"))
+            qiur.gaussian_packet(1e-20, center=0.1, span=1e6, n=64)
 
 
 class TestToMomentum:
