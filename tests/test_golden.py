@@ -54,6 +54,8 @@ CASES: dict[str, list[str]] = {
     "brownian": ["brownian"],
     "brownian-csv": ["brownian", "--step-law", "gaussian", "--sigma-step", "2.0",
                      "--format", "csv", "--output", REPORT],
+    "brownian-long-csv": ["brownian", "--steps", "300", "--walkers", "20001",
+                          "--format", "csv", "--output", REPORT],
 }
 
 
