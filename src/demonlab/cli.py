@@ -411,13 +411,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         report = run(resolve_config(args.scenario, args))
+        sys.stdout.write(json_dumps(report))
     except UsageError as exc:
         print(f"demonlab: error: {exc}", file=sys.stderr)
         return 2
     except DemonlabError as exc:
         print(f"demonlab {args.scenario}: error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(json_dumps(report))
     return 0 if all(report["verdicts"].values()) else 1
 
 

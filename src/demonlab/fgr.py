@@ -143,6 +143,10 @@ def simulate_decay(gamma: float, n_samples: int, rng_seed: int) -> DecaySample:
     require_positive("gamma", gamma)
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    # each time -ln(1 - U) / gamma is below 37 / gamma (U < 1 has 53 bits), so when this
+    # is finite, so are the times' sum, the lifetime and the curve's five lifetimes
+    if not math.isfinite(37.0 * n_samples / gamma):
+        raise InvalidInputError(f"gamma too small: the waiting times overflow, got {gamma!r}")
     rng = np.random.default_rng(rng_seed)
     u = rng.random(n_samples)
     times = -np.log1p(-u) / gamma

@@ -12,6 +12,8 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .errors import NumericError
+
 KV_HEADER = ("key", "value")
 
 
@@ -28,8 +30,14 @@ def _plain(obj: Any) -> Any:
 
 
 def json_dumps(obj: Any) -> str:
-    """Serialize with stable key ordering so identical runs emit identical bytes."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n"
+    """Serialize with stable key ordering so identical runs emit identical bytes.
+
+    A non-finite float has no JSON (RFC 8259) form and raises NumericError.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, default=_plain, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"report is not valid JSON: {exc}") from exc
 
 
 def kv_rows(derived: dict[str, Any]) -> list[tuple[str, Any]]:

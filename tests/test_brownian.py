@@ -2,7 +2,8 @@
 
 import dataclasses
 import math
-from itertools import product
+from itertools import islice, product
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ from demonlab.reporting import write_csv
 def pm1_msd_standard_error(n_steps: int, n_walkers: int) -> float:
     # Var(x^2) = 2 n (n - 1) for the +-1 walk (verified by enumeration below)
     return math.sqrt(2.0 * n_steps * (n_steps - 1) / n_walkers)
+
+
+def reference_walk(spec: br.WalkSpec) -> Iterator[np.ndarray]:
+    """The float walk: positions after each step, one array updated in place."""
+    rng = np.random.default_rng(spec.rng_seed)
+    x = np.zeros(spec.n_walkers)
+    for _ in range(spec.n_steps):
+        if spec.step_law == br.STEP_PLUS_MINUS_ONE:
+            x += rng.integers(0, 2, size=spec.n_walkers) * 2.0 - 1.0
+        else:
+            x += rng.normal(0.0, spec.sigma_step, size=spec.n_walkers)
+        yield x
 
 
 def test_pm1_moment_formulas_by_enumeration():
@@ -36,6 +49,25 @@ class TestWalkSpec:
             br.WalkSpec(n_steps=10, n_walkers=10, rng_seed=0, step_law="levy")
         with pytest.raises(InvalidInputError):
             br.WalkSpec(n_steps=10, n_walkers=10, rng_seed=0, sigma_step=0.0)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e76, 1e-155, 1e-170])
+    def test_gaussian_sigma_out_of_float_range(self, sigma):
+        # n_steps^3 sigma^4 (the fit's squared MSDs) overflows above ~3.66e75
+        # at n_steps = 100; sigma^2 is subnormal below ~1.49e-154
+        with pytest.raises(InvalidInputError, match="sigma_step out of float64 range"):
+            br.WalkSpec(100, 10_000, 0, step_law=br.STEP_GAUSSIAN, sigma_step=sigma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [3.6e75, 1e-150])
+    def test_gaussian_sigma_at_the_range_edges_runs_clean(self, sigma):
+        spec = br.WalkSpec(100, 10_000, 0, step_law=br.STEP_GAUSSIAN, sigma_step=sigma)
+        report = br.simulate_walks(spec)
+        assert np.isfinite(report.msd).all() and report.msd[-1] > 0
+        assert report.verdicts()["msd_within_3sigma"]
+
+    def test_sigma_range_applies_to_the_gaussian_law_only(self):
+        spec = br.WalkSpec(n_steps=10, n_walkers=10, rng_seed=0, sigma_step=1e200)
+        assert spec.step_variance == 1.0
 
 
 class TestSimulateWalks:
@@ -122,6 +154,49 @@ class TestSimulateWalks:
         }
         scaled = dataclasses.replace(report, msd=report.msd * 1.1)
         assert scaled.verdicts()["msd_within_3sigma"] is False
+
+
+class TestIntegerWalk:
+    """The +-1 walk runs in int64 and must match the float walk bit for bit."""
+
+    @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
+    @pytest.mark.parametrize("steps, walkers", [(1, 7), (19, 1001), (20, 20001), (300, 4096)])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_moments_equal_the_float_walk(self, steps, walkers, law, seed):
+        spec = br.WalkSpec(steps, walkers, seed, step_law=law, sigma_step=1.7)
+        moments = [(x.mean(), np.mean(x * x)) for x in reference_walk(spec)]
+        mean, msd = np.array([(0.0, 0.0), *moments]).T
+        report = br.simulate_walks(spec)
+        assert np.array_equal(report.mean_displacement, mean)
+        assert np.array_equal(report.msd, msd)
+
+    @pytest.mark.parametrize("walkers", [1, 2, 7, 1001, 4096])
+    def test_pm1_steps_and_state_are_those_of_integers(self, walkers):
+        # draws alternate with rng.integers on one generator, so a 32-bit half left
+        # over by either is taken up by the other
+        spec = br.WalkSpec(n_steps=1, n_walkers=walkers, rng_seed=0)
+        ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+        for k in range(6):
+            expected = ref.integers(0, 2, size=walkers) * 2 - 1
+            if k % 2:
+                steps = br._draw_steps(spec, rng)
+            else:
+                steps = rng.integers(0, 2, size=walkers) * 2 - 1
+            assert np.array_equal(steps, expected)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_pm1_positions_are_int64(self):
+        positions = list(map(np.copy, br._walk(br.WalkSpec(5, 1001, 3))))
+        assert len(positions) == 5 and all(x.dtype == np.int64 for x in positions)
+        assert all(np.array_equal(x % 2, np.full(1001, t % 2)) for t, x in enumerate(positions, 1))
+
+    @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
+    def test_histogram_counts_the_float_walk_at_step_t(self, law):
+        spec = br.WalkSpec(60, 100_000, 21, step_law=law, sigma_step=0.8)
+        x = next(islice(reference_walk(spec), 39, None))
+        report = br.histogram_vs_gaussian(spec, 40)
+        observed, _ = np.histogram(x, bins=report.bin_edges)
+        assert np.array_equal(report.observed, observed)
 
 
 class TestHistogramVsGaussian:

@@ -232,10 +232,15 @@ class TestErrorsAtSource:
             (["qiur", "--input"], "psi.csv", "x,re,im\n0,1,0\n1,1\n2,1,0\n"),
             (["qiur", "--sigma-x", "1e-300"], None, None),
             (["h-theorem", "--rates-file"], "rates.txt", "0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n"),
+            (["brownian", "--step-law", "gaussian", "--sigma-step", "1e200", "--steps", "2"],
+             None, None),
+            (["brownian", "--step-law", "gaussian", "--sigma-step", "1e-170"], None, None),
+            (["fgr", "--gamma", "1e-320"], None, None),
         ],
         ids=[
             "rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row",
-            "sigma-x-underflow", "rates-disconnected",
+            "sigma-x-underflow", "rates-disconnected", "sigma-step-overflow",
+            "sigma-step-underflow", "gamma-subnormal",
         ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):

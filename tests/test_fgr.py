@@ -121,6 +121,16 @@ class TestSimulateDecay:
         with pytest.raises(InvalidInputError):
             sample.curve([0.0, -1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_whose_waiting_times_overflow_rejected(self):
+        # 37 n / gamma bounds the sum of n waiting times: 2e-302 at n = 1e5
+        for gamma in (1e-320, 1e-302):
+            with pytest.raises(InvalidInputError, match="gamma too small"):
+                fgr.simulate_decay(gamma, 100_000, rng_seed=0)
+        sample = fgr.simulate_decay(1e-300, 100_000, rng_seed=0)
+        assert np.isfinite(sample.mean_waiting_time()) and sample.waiting_times[-1] < 37e300
+        assert all(np.isfinite(row).all() for row in sample.to_rows())
+
     def test_curve_equals_pointwise_survival(self):
         sample = fgr.simulate_decay(1.3, 50_000, rng_seed=10)
         ts = np.concatenate([np.linspace(0.0, 6.0, 501), sample.waiting_times[:5], [1e9]])

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from demonlab import cli
+from demonlab.errors import NumericError
 from demonlab.reporting import binomial_3sigma, json_dumps, kv_rows
 
 
@@ -21,6 +23,26 @@ def test_json_of_numpy_values_equals_json_of_python_values():
 def test_json_rejects_unknown_objects():
     with pytest.raises(TypeError):
         json_dumps({"x": object()})
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.float64("nan"), np.array([1.0, np.nan])])
+def test_json_rejects_non_finite_values(value):
+    # RFC 8259 has no Infinity or NaN
+    with pytest.raises(NumericError, match="not valid JSON"):
+        json_dumps({"derived": {"x": value}})
+
+
+@pytest.mark.parametrize("output", [[], ["--output", "report.json"]], ids=["stdout", "file"])
+def test_cli_reports_a_non_finite_value_as_one_error_line(output, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.RUNNERS, "szilard", lambda *_: ({"x": np.inf}, {}, None))
+    assert cli.main(["szilard", *output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("demonlab szilard: error: report is not valid JSON")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_kv_rows_sorted_without_dicts():
