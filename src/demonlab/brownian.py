@@ -200,7 +200,7 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int, n_bins: int = 20) -> Histogram
     else:
         edges = np.linspace(-window, window, n_bins + 1)
 
-    observed, _ = np.histogram(x, bins=edges)
+    observed, _ = np.histogram(x, bins=edges.astype(x.dtype))  # +-1 edges are whole numbers
     expected = spec.n_walkers * np.diff(ndtr(edges / sigma))
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     per_bin = chi2 / len(observed)
