@@ -47,7 +47,7 @@ class WalkSpec:
         if self.step_law not in STEP_LAWS:
             raise InvalidInputError(f"step_law must be one of {STEP_LAWS}")
         require_positive("sigma_step", self.sigma_step)
-        # var normal; the fit sums n_steps squared MSDs ~ n_steps var (the moments overflow later)
+        # a normal var, and a finite sum of the fit's n_steps squared MSDs (each ~ (n_steps var)^2)
         var = self.sigma_step * self.sigma_step if self.step_law == STEP_GAUSSIAN else 1.0
         if not (var >= np.finfo(float).tiny and math.isfinite(self.n_steps**3 * var * var)):
             raise InvalidInputError(f"sigma_step out of float64 range, got {self.sigma_step!r}")
@@ -60,9 +60,9 @@ class WalkSpec:
 def _draw_steps(spec: WalkSpec, rng: np.random.Generator) -> np.ndarray:
     """One step per walker: float64 Gaussian, or int32 +-1.
 
-    The +-1 steps, and the generator's state after them, are rng.integers(0, 2) * 2 - 1's.
-    integers(0, 2) takes the top bit of each 32-bit word of PCG64's stream: the low, then the
-    high half of each raw output, a half left over waiting in the state. Here the words come
+    The +-1 steps, and the generator's state after them, are those of rng.integers(0, 2) * 2 - 1:
+    integers(0, 2) takes the top bit of each 32-bit word of PCG64's stream (the low, then the
+    high half of each raw output; a half left over waits in the state). Here the words are read
     from raw outputs in bulk, at a third of the cost."""
     if spec.step_law == STEP_GAUSSIAN:
         return rng.normal(0.0, spec.sigma_step, size=spec.n_walkers)
