@@ -5,7 +5,8 @@ a mean-square displacement that grows linearly, msd(t) = var_step * t, the
 hallmark of diffusive spreading; the fitted diffusion coefficient follows
 msd = 2 D t with D = var_step / (2 dt), dt = 1 step. The positional
 histogram converges to the Gaussian of variance t * var_step once t is
-deep enough into the central-limit regime.
+deep enough into the central-limit regime. scipy is imported on first use,
+by histogram_vs_gaussian alone, so the brownian CLI scenario does not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import islice
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidInputError, require_positive
 
@@ -201,6 +201,7 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int, n_bins: int = 20) -> Histogram
         edges = np.linspace(-window, window, n_bins + 1)
 
     observed, _ = np.histogram(x, bins=edges.astype(x.dtype))  # +-1 edges are whole numbers
+    from scipy.special import ndtr  # on first use: the only scipy call of brownian
     expected = spec.n_walkers * np.diff(ndtr(edges / sigma))
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     per_bin = chi2 / len(observed)

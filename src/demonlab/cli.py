@@ -390,6 +390,8 @@ def run(config: RunConfig) -> dict[str, Any]:
     }
     output = config.params["output"]
     if output:
+        if config.params["format"] == "csv":
+            json_dumps(report)  # write no CSV of a report that cannot be emitted
         try:
             if config.params["format"] == "json":
                 write_json(output, report)

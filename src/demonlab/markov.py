@@ -14,7 +14,8 @@ input is rejected rather than silently accepted.
 
 All types are immutable after construction and all operations are pure,
 so concurrent use needs no locking; the values cached on first use (a rate
-matrix's operator and its eigendecomposition) are deterministic.
+matrix's connectivity, operator and eigendecomposition) are deterministic.
+scipy is imported on first use, by evolve alone, so no CLI scenario loads it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from numpy.linalg import eigh
 
 from .errors import (
     DivergenceError,
@@ -80,11 +79,15 @@ class RateMatrix:
 
     def is_connected(self) -> bool:
         """True if the graph of nonzero rates has a single component."""
-        return self._n_components == 1
+        return self._connected
 
     @cached_property
-    def _n_components(self) -> int:
-        return connected_components(csr_matrix(self.rates > 0.0), directed=False)[0]
+    def _connected(self) -> bool:
+        edges = self.rates > 0.0
+        seen = frontier = np.arange(self.n) == 0
+        while (frontier := edges[frontier].any(axis=0) & ~seen).any():  # breadth-first from 0
+            seen |= frontier
+        return bool(seen.all())
 
     @cached_property
     def _operator(self) -> "MasterOperator":
@@ -162,6 +165,12 @@ def _clamped(raw: np.ndarray) -> np.ndarray:
     return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential (scipy.linalg.expm), with scipy imported on first call."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
 def evolve(p0: ProbDist, op: MasterOperator, t: float) -> ProbDist:
     """Propagate p0 for time t >= 0 under dp/dt = L p.
 
@@ -188,7 +197,9 @@ def _propagate(p0: ProbDist, op: MasterOperator, ts: np.ndarray) -> np.ndarray:
     if np.any(ts < 0) or not np.all(np.isfinite(ts)):
         raise InvalidInputError("times must be finite and nonnegative")
     w, v = op.spectrum
-    return _clamped((np.exp(np.outer(ts, w)) * (v.T @ p0.p)) @ v.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # _clamped reports non-finite rows
+        raw = (np.exp(np.outer(ts, w)) * (v.T @ p0.p)) @ v.T
+    return _clamped(raw)
 
 
 def trajectory(p0: ProbDist, op: MasterOperator, ts: Sequence[float]) -> list[ProbDist]:

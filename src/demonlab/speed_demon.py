@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InvalidInputError, require_positive
 from .qiur import GaussianState, gaussian_information
@@ -69,14 +68,6 @@ class SortingGeometry:
         require_positive("door_size_d", self.door_size_d)
 
 
-def _warn_if_hard_probe(gas: GasSpec, probe: ProbeSpec, units: UnitSystem) -> None:
-    if units.h * probe.nu_low >= units.k * gas.temperature_T:
-        warnings.warn(
-            "probe energy h*nu_low >= kT: outside the gentle-probe regime",
-            stacklevel=3,
-        )
-
-
 def rms_momentum(gas: GasSpec, units: UnitSystem = NATURAL_UNITS) -> float:
     """Thermal root-mean-square momentum sqrt(3 m k T)."""
     return math.sqrt(3.0 * gas.mass_m * units.k * gas.temperature_T)
@@ -96,7 +87,8 @@ def post_measurement_spreads(
     The conjugate position spread is h / (4 pi sigma_p), so the product is
     h / 4 pi = hbar / 2 for every input (minimum-uncertainty packet).
     """
-    _warn_if_hard_probe(gas, probe, units)
+    if units.h * probe.nu_low >= units.k * gas.temperature_T:
+        warnings.warn("probe energy h*nu_low >= kT: outside the gentle-probe regime", stacklevel=2)
     sigma_p = math.sqrt(3.0 * gas.mass_m * units.h * probe.nu_low)
     sigma_x = units.h / (4.0 * math.pi * sigma_p)
     return GaussianState(sigma_x=sigma_x, sigma_p=sigma_p)
@@ -128,6 +120,13 @@ def information_ledger(
     p_rms = rms_momentum(gas, units)
     pre = GaussianState(sigma_x=units.h / (4.0 * math.pi * p_rms), sigma_p=p_rms)
     post = post_measurement_spreads(gas, probe, units)
+    # gaussian_information takes the log of 2 pi sigma^2 e: each must be a normal float
+    for s in (pre.sigma_x, pre.sigma_p, post.sigma_x, post.sigma_p):
+        if not np.finfo(float).tiny <= 2.0 * math.pi * s * s * math.e < math.inf:
+            raise InvalidInputError(
+                f"temperature_T={gas.temperature_T!r}, mass_m={gas.mass_m!r}, nu_low="
+                f"{probe.nu_low!r} and {units} put a packet spread out of float64 range"
+            )
     ds_momentum = units.k * (
         gaussian_information(post.sigma_p) - gaussian_information(pre.sigma_p)
     )
@@ -194,7 +193,6 @@ def simulate_sorting(
     rng = np.random.default_rng(rng_seed)
     xs = rng.normal(0.0, spreads.sigma_x, n_attempts)
     n_passed = int(np.count_nonzero(np.abs(xs) < d / 2.0))
-    analytic = float(erf(d / (2.0 * math.sqrt(2.0) * spreads.sigma_x)))
     p_rms = rms_momentum(gas, units)
     door_max = max_door_size(p_rms, units)
     ratio = spreads.sigma_x / door_max
@@ -209,7 +207,7 @@ def simulate_sorting(
         n_attempts=n_attempts,
         n_passed=n_passed,
         empirical_passage=n_passed / n_attempts,
-        analytic_passage=analytic,
+        analytic_passage=math.erf(d / (2.0 * math.sqrt(2.0) * spreads.sigma_x)),
         injected_energy=n_attempts * units.h * probe.nu_low,
         **information_ledger(gas, probe, units),
         seed=rng_seed,

@@ -236,11 +236,15 @@ class TestErrorsAtSource:
              None, None),
             (["brownian", "--step-law", "gaussian", "--sigma-step", "1e-170"], None, None),
             (["fgr", "--gamma", "1e-320"], None, None),
+            (["h-theorem", "--t-max", "1e300"], None, None),
+            (["speed-demon", "--temperature", "1e-320"], None, None),
+            (["speed-demon", "--h", "1e-300"], None, None),
         ],
         ids=[
             "rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row",
             "sigma-x-underflow", "rates-disconnected", "sigma-step-overflow",
-            "sigma-step-underflow", "gamma-subnormal",
+            "sigma-step-underflow", "gamma-subnormal", "t-max-overflow", "temperature-subnormal",
+            "h-underflow",
         ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
@@ -257,15 +261,22 @@ class TestErrorsAtSource:
 
 
 class TestCost:
-    def test_import_skips_scipy_stats_and_integrate(self):
+    def test_no_scenario_imports_scipy(self, tmp_path):
         # The CLI imports a scenario's module, and numpy, only when it runs;
-        # these four scenarios need no scipy at all.
+        # no scenario needs scipy (markov.evolve and the brownian histogram
+        # import it on first use).
+        rates = tmp_path / "rates.json"
+        rates.write_text('{"rates": [[0, 1, 0], [1, 0, 2], [0, 2, 0]]}')
+        scenarios = [
+            ["szilard"], ["qiur", "--grid-n", "256"], ["fgr"], ["einstein"], ["speed-demon"],
+            ["h-theorem"], ["h-theorem", "--rates-file", str(rates)], ["brownian"],
+        ]
         code = (
             "import contextlib, io, sys, demonlab.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
-            "for argv in (['szilard'], ['qiur', '--grid-n', '256'], ['fgr'], ['einstein']):\n"
+            f"for argv in {scenarios!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert demonlab.cli.main(argv) == 0\n"
+            "        assert demonlab.cli.main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(

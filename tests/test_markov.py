@@ -47,6 +47,33 @@ class TestRateMatrix:
         split = markov.RateMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]])
         assert not split.is_connected()
 
+    def test_connectivity_agrees_with_scipy_components(self):
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(11)
+        path = np.diag(np.ones(299), 1)  # 0-1-...-299: the deepest search from state 0
+        shuffled = rng.permutation(300)
+        isolated = np.ones((6, 6))
+        isolated[4, :] = isolated[:, 4] = 0.0
+        graphs = [
+            path + path.T,
+            (path + path.T)[np.ix_(shuffled, shuffled)],
+            isolated,
+            np.kron(np.eye(2), np.ones((4, 4))),  # two components
+            np.ones((2, 2)),
+            np.zeros((2, 2)),
+        ]
+        for n in (2, 3, 7, 30, 120):
+            for prob in (0.02, 0.08, 0.3):
+                upper = np.triu(rng.random((n, n)) < prob, 1) * rng.uniform(0.5, 2.0, (n, n))
+                graphs.append(upper + upper.T)
+        outcomes = []
+        for r in graphs:
+            expected = connected_components(r > 0.0, directed=False)[0] == 1
+            assert markov.RateMatrix(r).is_connected() == expected
+            outcomes.append(expected)
+        assert 0 < sum(outcomes) < len(outcomes)
+
 
 class TestProbDist:
     def test_rejects_negative(self):

@@ -32,7 +32,11 @@ def test_json_rejects_non_finite_values(value):
         json_dumps({"derived": {"x": value}})
 
 
-@pytest.mark.parametrize("output", [[], ["--output", "report.json"]], ids=["stdout", "file"])
+@pytest.mark.parametrize(
+    "output",
+    [[], ["--output", "report.json"], ["--format", "csv", "--output", "report.csv"]],
+    ids=["stdout", "file", "csv-file"],
+)
 def test_cli_reports_a_non_finite_value_as_one_error_line(output, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(cli.RUNNERS, "szilard", lambda *_: ({"x": np.inf}, {}, None))
@@ -42,7 +46,7 @@ def test_cli_reports_a_non_finite_value_as_one_error_line(output, monkeypatch, t
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("demonlab szilard: error: report is not valid JSON")
-    assert not (tmp_path / "report.json").exists()
+    assert list(tmp_path.iterdir()) == []  # no report file of either format
 
 
 def test_kv_rows_sorted_without_dicts():

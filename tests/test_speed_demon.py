@@ -198,6 +198,38 @@ class TestSimulateSorting:
         b = sd.simulate_sorting(gas, probe, door, 10_000, rng_seed=6)
         assert a.empirical_passage == b.empirical_passage
 
+    def test_analytic_passage_within_2ulp_of_scipy_erf(self):
+        from scipy.special import erf
+
+        gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)
+        door = sd.SortingGeometry(sd.max_door_size(sd.rms_momentum(gas)))
+        for ratio in np.geomspace(1.01, 1e6, 200):
+            probe = sd.ProbeSpec.from_energy_ratio(gas, ratio)
+            report = sd.simulate_sorting(gas, probe, door, 1, rng_seed=0)
+            expected = erf(report.door_size / (2.0 * math.sqrt(2.0) * report.sigma_x_post))
+            assert abs(report.analytic_passage - expected) <= 2.0 * np.spacing(expected)
+
+    @pytest.mark.parametrize(
+        "temperature, mass, nu_low",
+        [(1e-320, 1.0, None), (1e-310, 1.0, None), (1.0, 1e-320, None), (1.0, 1.0, 1e-320)],
+    )
+    def test_spread_out_of_float_range_rejected(self, temperature, mass, nu_low):
+        gas = sd.GasSpec(temperature_T=temperature, mass_m=mass)
+        probe = sd.ProbeSpec(nu_low) if nu_low else sd.ProbeSpec.from_energy_ratio(gas, 100.0)
+        with pytest.raises(InvalidInputError, match=f"temperature_T={temperature!r}, "):
+            sd.simulate_sorting(gas, probe, sd.SortingGeometry(1.0), 10, rng_seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_representable_temperature_runs_clean(self):
+        gas = sd.GasSpec(temperature_T=1e-300, mass_m=1.0)
+        probe = sd.ProbeSpec.from_energy_ratio(gas, 100.0)
+        door = sd.SortingGeometry(sd.max_door_size(sd.rms_momentum(gas)))
+        report = sd.simulate_sorting(gas, probe, door, 10_000, rng_seed=7)
+        assert all(math.isfinite(v) for v in asdict(report).values())
+        assert report.feasibility_ratio == pytest.approx(10.0, rel=1e-12)
+        assert abs(report.sorting_usable_change) < 1e-12
+        assert all(report.verdicts().values())
+
     def test_invalid_attempts(self):
         gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)
         probe = sd.ProbeSpec.from_energy_ratio(gas, 100.0)
