@@ -32,6 +32,7 @@ GOLDEN = Path(__file__).with_name("golden")
 REPORT = "report.csv"
 JSON_REPORT = "report.json"
 RATES = "rates.json"
+WAVEFN = "wavefn.csv"
 
 CASES: dict[str, list[str]] = {
     "h-theorem": ["h-theorem"],
@@ -41,6 +42,7 @@ CASES: dict[str, list[str]] = {
     "fgr-csv": ["fgr", "--gamma", "2.5", "--format", "csv", "--output", REPORT],
     "qiur": ["qiur"],
     "qiur-box-csv": ["qiur", "--box-length", "2.0", "--format", "csv", "--output", REPORT],
+    "qiur-input-csv": ["qiur", "--input", WAVEFN, "--format", "csv", "--output", REPORT],
     "szilard": ["szilard"],
     "szilard-si": ["szilard", "--si", "--cycles", "3"],
     "szilard-csv": ["szilard", "--cycles", "5", "--format", "csv", "--output", REPORT],
@@ -65,7 +67,8 @@ def strip_wall_time(body: str) -> str:
 
 def run_case(name: str, workdir: Path) -> tuple[int, str, dict[str, bytes]]:
     """Run one case in workdir: exit code, stdout, report bytes by suffix."""
-    shutil.copy(GOLDEN / RATES, workdir / RATES)
+    for fixture in (RATES, WAVEFN):
+        shutil.copy(GOLDEN / fixture, workdir / fixture)
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
