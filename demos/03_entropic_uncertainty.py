@@ -37,7 +37,7 @@ hbar = 1.0 / (2.0 * math.pi)
 amps = np.exp(-((xs - 2.0) ** 2) / 4.0 + 1j * 0.5 * xs / hbar)
 amps = amps + np.exp(-((xs + 2.0) ** 2) / 4.0 - 1j * 0.5 * xs / hbar)
 amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-rep = qiur.entropy_report(qiur.WavefunctionGrid(x0=float(xs[0]), dx=dx, amps=amps))
+rep = qiur.entropy_report(qiur.Grid(origin=float(xs[0]), spacing=dx, amps=amps))
 print(f"  joint = {rep['joint']:.6f}, excess = {rep['joint'] - bound:+.4f}, "
       f"satisfied = {rep['satisfied']}")
 

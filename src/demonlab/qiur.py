@@ -38,66 +38,52 @@ MIN_GRID_POINTS = 64
 _NORM_TOL = 1e-10
 
 
-def _check_grid(amps: np.ndarray, spacing: float, kind: str) -> np.ndarray:
-    a = np.array(amps, dtype=complex)
-    if a.ndim != 1:
-        raise InvalidInputError(f"{kind} amplitudes must be one-dimensional")
-    if a.size < MIN_GRID_POINTS:
-        raise InvalidInputError(f"{kind} grid needs at least {MIN_GRID_POINTS} points")
-    require_positive(f"{kind} spacing", spacing)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{kind} amplitudes contain non-finite values")
-    norm = np.sum(np.abs(a) ** 2) * spacing
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise InvalidInputError(f"{kind} wavefunction not normalized: sum |amp|^2 d = {norm!r}")
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
-class WavefunctionGrid:
-    """Complex amplitudes psi(x_j) on x_j = x0 + j*dx, normalized on the grid."""
+class Grid:
+    """Complex amplitudes on the points origin + j*spacing, normalized on the grid.
 
-    x0: float
-    dx: float
+    A position wavefunction psi(x_j) and its momentum counterpart phi(p_k)
+    are both Grids.
+    """
+
+    origin: float
+    spacing: float
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amps", _check_grid(self.amps, self.dx, "position"))
+        a = np.array(self.amps, dtype=complex)
+        if a.ndim != 1:
+            raise InvalidInputError("grid amplitudes must be one-dimensional")
+        if a.size < MIN_GRID_POINTS:
+            raise InvalidInputError(f"grid needs at least {MIN_GRID_POINTS} points")
+        require_positive("grid spacing", self.spacing)
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError("grid amplitudes contain non-finite values")
+        norm = np.sum(np.abs(a) ** 2) * self.spacing
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise InvalidInputError(f"wavefunction not normalized: sum |amp|^2 d = {norm!r}")
+        a.setflags(write=False)
+        object.__setattr__(self, "amps", a)
 
     @property
     def n(self) -> int:
         return self.amps.size
 
     @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+    def points(self) -> np.ndarray:
+        return self.origin + self.spacing * np.arange(self.n)
 
     def density(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Complex amplitudes phi(p_k) on p_k = p0 + k*dp, normalized on the grid."""
-
-    p0: float
-    dp: float
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amps", _check_grid(self.amps, self.dp, "momentum"))
-
-    @property
-    def n(self) -> int:
-        return self.amps.size
-
-    @property
-    def ps(self) -> np.ndarray:
-        return self.p0 + self.dp * np.arange(self.n)
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+def _normalized(source: str, origin: float, spacing: float, amps: np.ndarray) -> Grid:
+    """Grid of amps / sqrt(sum |amps|^2 * spacing); source names the input in errors."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(np.abs(amps) ** 2) * spacing)
+    if not (norm > 0 and math.isfinite(norm)):
+        raise InvalidInputError(f"{source} has zero or non-finite amplitudes on the grid")
+    return Grid(origin, spacing, amps / math.sqrt(norm))
 
 
 @dataclass(frozen=True)
@@ -111,16 +97,8 @@ class GaussianState:
         require_positive("sigma_x", self.sigma_x)
         require_positive("sigma_p", self.sigma_p)
 
-    def uncertainty_product(self) -> float:
-        return self.sigma_x * self.sigma_p
 
-    def is_minimum_uncertainty(self, units: UnitSystem = NATURAL_UNITS, rtol: float = 1e-12) -> bool:
-        """True iff sigma_x*sigma_p equals hbar/2 to relative tolerance rtol."""
-        target = 0.5 * units.hbar
-        return abs(self.uncertainty_product() - target) <= rtol * target
-
-
-def to_momentum(psi: WavefunctionGrid, units: UnitSystem = NATURAL_UNITS) -> MomentumGrid:
+def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
     """hbar-scaled Fourier transform onto the conjugate grid dp = h/(N*dx).
 
     The momentum grid is centered (p_k = (k - N//2) * dp) and the scaling
@@ -129,30 +107,14 @@ def to_momentum(psi: WavefunctionGrid, units: UnitSystem = NATURAL_UNITS) -> Mom
     hbar = units.hbar
     n = psi.n
     m = n // 2
-    dp = 2.0 * math.pi * hbar / (n * psi.dx)
+    dp = 2.0 * math.pi * hbar / (n * psi.spacing)
     ps = (np.arange(n) - m) * dp
     j = np.arange(n)
     pre_phase = np.exp(2j * math.pi * m * j / n)
     spectrum = np.fft.fft(psi.amps * pre_phase)
-    amps = (psi.dx / math.sqrt(2.0 * math.pi * hbar)) * np.exp(-1j * ps * psi.x0 / hbar) * spectrum
-    return MomentumGrid(p0=float(ps[0]), dp=dp, amps=amps)
-
-
-def to_position(
-    phi: MomentumGrid, units: UnitSystem = NATURAL_UNITS, x0: float | None = None
-) -> WavefunctionGrid:
-    """Inverse transform; pass the original x0 to land on the original grid."""
-    hbar = units.hbar
-    n = phi.n
-    dx = 2.0 * math.pi * hbar / (n * phi.dp)
-    if x0 is None:
-        x0 = -(n // 2) * dx
-    ps = phi.ps
-    g = phi.amps * np.exp(1j * ps * x0 / hbar)
-    j = np.arange(n)
-    post_phase = np.exp(1j * phi.p0 * j * dx / hbar)
-    amps = (phi.dp / math.sqrt(2.0 * math.pi * hbar)) * post_phase * n * np.fft.ifft(g)
-    return WavefunctionGrid(x0=x0, dx=dx, amps=amps)
+    scale = psi.spacing / math.sqrt(2.0 * math.pi * hbar)
+    amps = scale * np.exp(-1j * ps * psi.origin / hbar) * spectrum
+    return Grid(origin=float(ps[0]), spacing=dp, amps=amps)
 
 
 def differential_entropy(density: np.ndarray, spacing: float) -> float:
@@ -181,21 +143,21 @@ def qiur_bound(units: UnitSystem = NATURAL_UNITS) -> float:
     return math.log(units.h) + 1.0 - math.log(2.0)
 
 
-def joint_information(psi: WavefunctionGrid, units: UnitSystem = NATURAL_UNITS) -> float:
+def joint_information(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> float:
     """I(x) + I(p) on the grid; always >= ln(he/2) up to discretization slack."""
     return entropy_report(psi, units)["joint"]
 
 
-def thermodynamic_entropy(phi: MomentumGrid, units: UnitSystem = NATURAL_UNITS) -> float:
+def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float:
     """k times the momentum information: S = -k int |phi|^2 ln |phi|^2 dp."""
-    return units.k * differential_entropy(phi.density(), phi.dp)
+    return units.k * differential_entropy(phi.density(), phi.spacing)
 
 
-def entropy_report(psi: WavefunctionGrid, units: UnitSystem = NATURAL_UNITS) -> dict:
+def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     """I_x, I_p, their sum, the bound, and whether the bound is satisfied."""
     phi = to_momentum(psi, units)
-    i_x = differential_entropy(psi.density(), psi.dx)
-    i_p = differential_entropy(phi.density(), phi.dp)
+    i_x = differential_entropy(psi.density(), psi.spacing)
+    i_p = differential_entropy(phi.density(), phi.spacing)
     bound = qiur_bound(units)
     joint = i_x + i_p
     return {
@@ -213,9 +175,8 @@ def gaussian_packet(
     center: float = 0.0,
     momentum: float = 0.0,
     n: int = 4096,
-    n_sigma: float = 8.0,
     span: float | None = None,
-) -> WavefunctionGrid:
+) -> Grid:
     """Sampled Gaussian packet, renormalized on the grid.
 
     The default span of +-8 sigma_x around the center keeps truncated tail
@@ -226,7 +187,7 @@ def gaussian_packet(
     variance = 2.0 * math.pi * (sigma_x * sigma_x)
     if not (variance > 0 and math.isfinite(variance)):
         raise InvalidInputError(f"sigma_x = {sigma_x!r} gives a zero or non-finite variance")
-    width = span if span is not None else 2.0 * n_sigma * sigma_x
+    width = span if span is not None else 16.0 * sigma_x
     dx = width / n
     x0 = center - (n // 2) * dx
     xs = x0 + dx * np.arange(n)
@@ -234,27 +195,21 @@ def gaussian_packet(
         -((xs - center) ** 2) / (4.0 * sigma_x**2)
         + 1j * momentum * (xs - center) / units.hbar
     )
-    norm = float(np.sum(np.abs(amps) ** 2) * dx)
-    if not (norm > 0 and math.isfinite(norm)):
-        raise InvalidInputError("packet has zero or non-finite amplitudes on the grid")
-    amps /= math.sqrt(norm)
-    return WavefunctionGrid(x0=x0, dx=dx, amps=amps)
+    return _normalized("packet", x0, dx, amps)
 
 
-def box_ground_state(
-    length: float, n: int = 8192, span_factor: float = 16.0
-) -> WavefunctionGrid:
+def box_ground_state(length: float, n: int = 8192) -> Grid:
     """Ground-state sine profile of a hard box [0, L], zero-padded around it.
 
-    The padding (total span = span_factor * L) refines the momentum grid so
-    the slowly decaying |phi|^2 tail is resolved. The default n is twice the
-    Gaussian default: the kinked box edges converge only as dx^2.
+    The padding (total span 16 L) refines the momentum grid so the slowly
+    decaying |phi|^2 tail is resolved. The default n is twice the Gaussian
+    default: the kinked box edges converge only as dx^2.
     """
     require_positive("length", length)
-    if span_factor < 2:
-        raise InvalidInputError("span_factor must be >= 2 to contain the box")
-    width = span_factor * length
+    width = 16.0 * length
     dx = width / n
+    if not np.finfo(float).tiny <= dx < math.inf:
+        raise InvalidInputError(f"length = {length!r} gives a grid spacing {dx!r} out of range")
     x0 = -(width - length) / 2.0
     xs = x0 + dx * np.arange(n)
     amps = np.where(
@@ -262,23 +217,14 @@ def box_ground_state(
         np.sqrt(2.0 / length) * np.sin(np.pi * np.clip(xs, 0.0, length) / length),
         0.0,
     ).astype(complex)
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-    return WavefunctionGrid(x0=x0, dx=dx, amps=amps)
+    return _normalized("box", x0, dx, amps)
 
 
-def density_moments(values: np.ndarray, density: np.ndarray, spacing: float) -> tuple[float, float]:
-    """(mean, standard deviation) of a sampled density."""
-    mean = float(np.sum(values * density) * spacing)
-    var = float(np.sum((values - mean) ** 2 * density) * spacing)
-    return mean, math.sqrt(max(var, 0.0))
-
-
-def wavefunction_from_csv(path: str | Path, normalize: bool = True) -> WavefunctionGrid:
+def wavefunction_from_csv(path: str | Path) -> Grid:
     """Load a wavefunction from a CSV with header columns x, re, im.
 
-    The x column must be uniformly spaced. By default the amplitudes are
-    renormalized on the grid; pass normalize=False to require the file to
-    be normalized already.
+    The x column must be uniformly spaced. The amplitudes are always
+    renormalized on the grid.
     """
     xs: list[float] = []
     res: list[float] = []
@@ -310,10 +256,4 @@ def wavefunction_from_csv(path: str | Path, normalize: bool = True) -> Wavefunct
     dx = float(steps[0])
     if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
         raise InvalidInputError(f"{path}: x column must be uniformly increasing")
-    amps = np.asarray(res) + 1j * np.asarray(ims)
-    if normalize:
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-        if norm == 0:
-            raise InvalidInputError(f"{path}: zero wavefunction")
-        amps = amps / norm
-    return WavefunctionGrid(x0=float(x[0]), dx=dx, amps=amps)
+    return _normalized(str(path), float(x[0]), dx, np.asarray(res) + 1j * np.asarray(ims))

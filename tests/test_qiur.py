@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavefns import box_mode, random_mixture
+from wavefns import box_mode, density_moments, is_minimum_uncertainty, random_mixture, to_position
 
 from demonlab import qiur
 from demonlab.errors import InvalidInputError
@@ -20,17 +20,17 @@ class TestGrids:
     def test_unnormalized_rejected(self):
         n = 128
         with pytest.raises(InvalidInputError):
-            qiur.WavefunctionGrid(x0=0.0, dx=0.1, amps=np.ones(n, dtype=complex))
+            qiur.Grid(origin=0.0, spacing=0.1, amps=np.ones(n, dtype=complex))
 
     def test_too_few_points_rejected(self):
         amps = np.full(32, complex(1.0))
         amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * 0.1))
         with pytest.raises(InvalidInputError):
-            qiur.WavefunctionGrid(x0=0.0, dx=0.1, amps=amps)
+            qiur.Grid(origin=0.0, spacing=0.1, amps=amps)
 
     def test_gaussian_packet_normalized(self):
         psi = qiur.gaussian_packet(1.0)
-        assert abs(np.sum(psi.density()) * psi.dx - 1.0) < 1e-12
+        assert abs(np.sum(psi.density()) * psi.spacing - 1.0) < 1e-12
 
 
     @pytest.mark.parametrize("sigma_x", [1e-300, 1e-170, 1e155, 1e300])
@@ -52,7 +52,7 @@ class TestToMomentum:
         # sigma_x = 1 with hbar = 1 transforms to sigma_p = 1/2
         psi = qiur.gaussian_packet(1.0, HBAR_ONE)
         phi = qiur.to_momentum(psi, HBAR_ONE)
-        _, sigma_p = qiur.density_moments(phi.ps, phi.density(), phi.dp)
+        _, sigma_p = density_moments(phi.points, phi.density(), phi.spacing)
         assert sigma_p == pytest.approx(0.5, abs=1e-6)
 
     def test_real_even_maps_to_real_even(self):
@@ -70,26 +70,26 @@ class TestToMomentum:
         for _ in range(5):
             psi = random_mixture(rng)
             phi = qiur.to_momentum(psi)
-            assert abs(np.sum(phi.density()) * phi.dp - 1.0) < 1e-10
+            assert abs(np.sum(phi.density()) * phi.spacing - 1.0) < 1e-10
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         psi = random_mixture(rng)
         phi = qiur.to_momentum(psi)
-        back = qiur.to_position(phi, x0=psi.x0)
-        assert back.dx == pytest.approx(psi.dx, rel=1e-12)
+        back = to_position(phi, x0=psi.origin)
+        assert back.spacing == pytest.approx(psi.spacing, rel=1e-12)
         assert np.max(np.abs(back.amps - psi.amps)) < 1e-9
 
     def test_round_trip_with_units(self):
         psi = qiur.gaussian_packet(0.7, HBAR_ONE, center=0.4, momentum=1.2)
-        back = qiur.to_position(qiur.to_momentum(psi, HBAR_ONE), HBAR_ONE, x0=psi.x0)
+        back = to_position(qiur.to_momentum(psi, HBAR_ONE), HBAR_ONE, x0=psi.origin)
         assert np.max(np.abs(back.amps - psi.amps)) < 1e-9
 
 
 class TestDifferentialEntropy:
     def test_gaussian_closed_form(self):
         psi = qiur.gaussian_packet(1.0)
-        value = qiur.differential_entropy(psi.density(), psi.dx)
+        value = qiur.differential_entropy(psi.density(), psi.spacing)
         assert value == pytest.approx(1.4189385332046727, abs=1e-4)
 
     def test_uniform_density(self):
@@ -127,7 +127,7 @@ class TestDifferentialEntropy:
 
 def _density(sigma):
     psi = qiur.gaussian_packet(sigma)
-    return psi.density(), psi.dx
+    return psi.density(), psi.spacing
 
 
 class TestGaussianInformation:
@@ -198,8 +198,8 @@ class TestJointInformation:
 
         psi = qiur.box_ground_state(length)
         phi = qiur.to_momentum(psi)
-        i_x = qiur.differential_entropy(psi.density(), psi.dx)
-        i_p = qiur.differential_entropy(phi.density(), phi.dp)
+        i_x = qiur.differential_entropy(psi.density(), psi.spacing)
+        i_p = qiur.differential_entropy(phi.density(), phi.spacing)
         assert i_x == pytest.approx(i_x_oracle, abs=1e-4)
         assert i_p == pytest.approx(i_p_oracle, abs=1e-3)
 
@@ -273,9 +273,9 @@ class TestGaussianState:
     def test_minimum_uncertainty_flag(self):
         units = HBAR_ONE
         state = qiur.GaussianState(sigma_x=1.0, sigma_p=0.5)
-        assert state.is_minimum_uncertainty(units)
+        assert is_minimum_uncertainty(state, units)
         off = qiur.GaussianState(sigma_x=1.0, sigma_p=0.6)
-        assert not off.is_minimum_uncertainty(units)
+        assert not is_minimum_uncertainty(off, units)
 
     def test_positive_spreads_required(self):
         with pytest.raises(InvalidInputError):
@@ -298,12 +298,12 @@ class TestEntropyReportAndCsv:
         rows = ["x,re,im"]
         rows += [
             f"{float(x)!r},{float(a.real)!r},{float(a.imag)!r}"
-            for x, a in zip(psi.xs, psi.amps)
+            for x, a in zip(psi.points, psi.amps)
         ]
         path.write_text("\n".join(rows) + "\n")
         loaded = qiur.wavefunction_from_csv(path)
         assert loaded.n == psi.n
-        assert loaded.dx == pytest.approx(psi.dx, rel=1e-12)
+        assert loaded.spacing == pytest.approx(psi.spacing, rel=1e-12)
         assert np.max(np.abs(loaded.amps - psi.amps)) < 1e-12
 
     def test_csv_bad_header(self, tmp_path):

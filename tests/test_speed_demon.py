@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from wavefns import is_minimum_uncertainty
 
 from demonlab import speed_demon as sd
 from demonlab.errors import InvalidInputError
@@ -77,7 +78,7 @@ class TestPostMeasurementSpreads:
             spreads = sd.post_measurement_spreads(gas, probe, units)
             product = spreads.sigma_x * spreads.sigma_p
             assert product == pytest.approx(units.h / (4.0 * math.pi), rel=1e-12)
-            assert spreads.is_minimum_uncertainty(units, rtol=1e-12)
+            assert is_minimum_uncertainty(spreads, units, rtol=1e-12)
 
     def test_regime_warning(self):
         gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from wavefns import is_minimum_uncertainty, uncertainty_product
 
 from demonlab import szilard
 from demonlab.errors import InvalidInputError, InvalidStateError
@@ -35,16 +36,16 @@ class TestInitialState:
         units = UnitSystem(h=3.7)
         for length in (0.2, 1.0, 8.0):
             box_scale = szilard.initial_state(make_box(length=length), units)
-            assert box_scale.state.uncertainty_product() == pytest.approx(
+            assert uncertainty_product(box_scale.state) == pytest.approx(
                 units.h / 2.0, rel=1e-14
             )
             exact = szilard.initial_state(
                 make_box(length=length), units, szilard.CONVENTION_EXACT
             )
-            assert exact.state.uncertainty_product() == pytest.approx(
+            assert uncertainty_product(exact.state) == pytest.approx(
                 units.hbar / 2.0, rel=1e-14
             )
-            assert exact.state.is_minimum_uncertainty(units, rtol=1e-12)
+            assert is_minimum_uncertainty(exact.state, units, rtol=1e-12)
 
     def test_unknown_convention(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,4 @@
-"""Randomized wavefunction builders shared by the uncertainty test suites."""
+"""Wavefunction builders and reference helpers shared by the uncertainty test suites."""
 
 import math
 
@@ -28,7 +28,7 @@ def random_mixture(rng, units=NATURAL_UNITS, n=4096, span=160.0):
             -((xs - center) ** 2) / (4.0 * sigma**2) + 1j * tilt * xs / units.hbar
         )
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-    return qiur.WavefunctionGrid(x0=x0, dx=dx, amps=amps)
+    return qiur.Grid(origin=x0, spacing=dx, amps=amps)
 
 
 def box_mode(rng, n=4096, span_factor=16.0):
@@ -44,4 +44,35 @@ def box_mode(rng, n=4096, span_factor=16.0):
         inside, np.sin(mode * np.pi * np.clip(xs, 0.0, length) / length), 0.0
     ).astype(complex)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-    return qiur.WavefunctionGrid(x0=x0, dx=dx, amps=amps)
+    return qiur.Grid(origin=x0, spacing=dx, amps=amps)
+
+
+def to_position(phi, units=NATURAL_UNITS, x0=None):
+    """Inverse of qiur.to_momentum; pass the original x0 to land on the original grid."""
+    hbar = units.hbar
+    n = phi.n
+    dx = 2.0 * math.pi * hbar / (n * phi.spacing)
+    if x0 is None:
+        x0 = -(n // 2) * dx
+    g = phi.amps * np.exp(1j * phi.points * x0 / hbar)
+    post_phase = np.exp(1j * phi.origin * np.arange(n) * dx / hbar)
+    amps = (phi.spacing / math.sqrt(2.0 * math.pi * hbar)) * post_phase * n * np.fft.ifft(g)
+    return qiur.Grid(origin=x0, spacing=dx, amps=amps)
+
+
+def density_moments(values, density, spacing):
+    """(mean, standard deviation) of a sampled density."""
+    mean = float(np.sum(values * density) * spacing)
+    var = float(np.sum((values - mean) ** 2 * density) * spacing)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def uncertainty_product(state):
+    """sigma_x * sigma_p of a qiur.GaussianState."""
+    return state.sigma_x * state.sigma_p
+
+
+def is_minimum_uncertainty(state, units=NATURAL_UNITS, rtol=1e-12):
+    """True iff sigma_x*sigma_p equals hbar/2 to relative tolerance rtol."""
+    target = 0.5 * units.hbar
+    return abs(uncertainty_product(state) - target) <= rtol * target
