@@ -70,7 +70,13 @@ class SortingGeometry:
 
 def rms_momentum(gas: GasSpec, units: UnitSystem = NATURAL_UNITS) -> float:
     """Thermal root-mean-square momentum sqrt(3 m k T)."""
-    return math.sqrt(3.0 * gas.mass_m * units.k * gas.temperature_T)
+    p_rms = math.sqrt(3.0 * gas.mass_m * units.k * gas.temperature_T)
+    if not 0.0 < p_rms < math.inf:
+        raise InvalidInputError(
+            f"temperature_T={gas.temperature_T!r}, mass_m={gas.mass_m!r} and {units} put "
+            f"the rms momentum sqrt(3 m k T) = {p_rms!r} out of float64 range"
+        )
+    return p_rms
 
 
 def max_door_size(sigma_p: float, units: UnitSystem = NATURAL_UNITS) -> float:

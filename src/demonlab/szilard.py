@@ -93,6 +93,11 @@ def initial_state(
         sigma_p = units.h / (2.0 * length)
     else:
         sigma_p = units.hbar / (2.0 * length)
+    # insertion doubles sigma_p, so that must stay finite too
+    if not 0.0 < sigma_p < 2.0 * sigma_p < math.inf:
+        raise InvalidInputError(
+            f"length_L={length!r} and {units} put sigma_p = {sigma_p!r} out of float64 range"
+        )
     return MoleculeGaussian(
         state=GaussianState(sigma_x=length, sigma_p=sigma_p),
         side=SIDE_WHOLE,
@@ -110,13 +115,14 @@ def insert_partition(
 
     Returns the localized state (left or right with probability 1/2 each,
     seeded) and the entropy cost (k/2) ln(sigma_p_f^2 / sigma_p_i^2) =
-    k ln 2. The cost is computed from the variance ratio alone, before the
-    side is drawn: it cannot depend on the outcome or on anyone learning it.
+    k ln(sigma_p_f / sigma_p_i) = k ln 2, taken from the spread ratio so no
+    square leaves float range. The cost is computed before the side is
+    drawn: it cannot depend on the outcome or on anyone learning it.
     """
     if state.side != SIDE_WHOLE:
         raise InvalidStateError("partition already inserted")
     sigma_p_f = 2.0 * state.state.sigma_p
-    delta_s = 0.5 * units.k * math.log(sigma_p_f**2 / state.state.sigma_p**2)
+    delta_s = units.k * math.log(sigma_p_f / state.state.sigma_p)
     rng = np.random.default_rng(rng_seed)
     side = SIDE_LEFT if rng.random() < 0.5 else SIDE_RIGHT
     new_state = MoleculeGaussian(

@@ -221,6 +221,18 @@ class TestExitContract:
         assert json.loads(out.read_text())["seed"] == 31
 
 
+#: Inputs whose derived quantities leave float64 range, and the names their
+#: error line must carry, by test id.
+NAMED_ERRORS = {
+    "box-length-subnormal": (["qiur", "--box-length", "1e-320"], ["length"]),
+    "box-length-overflow": (["qiur", "--box-length", "1e308"], ["length"]),
+    "szilard-length-overflow": (["szilard", "--length", "1e308"], ["length_L"]),
+    "szilard-length-subnormal": (["szilard", "--length", "1e-320"], ["length_L"]),
+    "p-rms-overflow": (["speed-demon", "--mass", "1e300", "--temperature", "1e300"],
+                       ["temperature_T", "mass_m", "UnitSystem"]),
+}
+
+
 class TestErrorsAtSource:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -239,12 +251,15 @@ class TestErrorsAtSource:
             (["h-theorem", "--t-max", "1e300"], None, None),
             (["speed-demon", "--temperature", "1e-320"], None, None),
             (["speed-demon", "--h", "1e-300"], None, None),
+            (["qiur", "--input"], "psi.csv", "x,re,im\n0,0,0\n1,0,0\n2,0,0\n"),
+            (["qiur", "--input"], "psi.csv", "x,re,im\n0,1e200,0\n1,1e200,0\n"),
+            *((argv, None, None) for argv, _names in NAMED_ERRORS.values()),
         ],
         ids=[
             "rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row",
             "sigma-x-underflow", "rates-disconnected", "sigma-step-overflow",
             "sigma-step-underflow", "gamma-subnormal", "t-max-overflow", "temperature-subnormal",
-            "h-underflow",
+            "h-underflow", "csv-zero", "csv-norm-overflow", *NAMED_ERRORS,
         ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
@@ -258,6 +273,12 @@ class TestErrorsAtSource:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, names", NAMED_ERRORS.values(), ids=NAMED_ERRORS)
+    def test_error_line_names_the_inputs(self, argv, names, capsys):
+        assert cli.main(argv) == 1
+        line = capsys.readouterr().err
+        assert all(name in line for name in names), line
 
 
 class TestCost:

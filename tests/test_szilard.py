@@ -75,6 +75,19 @@ class TestInsertPartition:
                         _, ds = szilard.insert_partition(state, 1, units)
                         assert abs(ds - units.k * LN2) <= 1e-12 * units.k
 
+    @pytest.mark.parametrize("length", [1e-300, 1e300, 8e307])
+    def test_cost_at_extreme_lengths(self, length):
+        # sigma_p^2 leaves float64 range here; the spread ratio is still exactly 2
+        for convention in szilard.CONVENTIONS:
+            state = szilard.initial_state(make_box(length), convention=convention)
+            _, ds = szilard.insert_partition(state, 0)
+            assert ds == LN2
+
+    @pytest.mark.parametrize("length", [1e-320, 5e-309, 1e308])
+    def test_sigma_p_out_of_range_names_length(self, length):
+        with pytest.raises(InvalidInputError, match="length_L"):
+            szilard.initial_state(make_box(length))
+
     def test_side_independence(self):
         state = szilard.initial_state(make_box())
         # hunt seeds landing on each side; the cost must be bit-identical
