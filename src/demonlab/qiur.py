@@ -78,12 +78,16 @@ class Grid:
 
 
 def _normalized(source: str, origin: float, spacing: float, amps: np.ndarray) -> Grid:
-    """Grid of amps / sqrt(sum |amps|^2 * spacing); source names the input in errors."""
+    """Grid of amps / sqrt(sum |amps|^2 * spacing), dividing the complex amps in place.
+
+    source names the input in the error for a zero or non-finite norm.
+    """
     with np.errstate(over="ignore"):
         norm = float(np.sum(np.abs(amps) ** 2) * spacing)
     if not (norm > 0 and math.isfinite(norm)):
         raise InvalidInputError(f"{source} has zero or non-finite amplitudes on the grid")
-    return Grid(origin, spacing, amps / math.sqrt(norm))
+    amps /= math.sqrt(norm)
+    return Grid(origin, spacing, amps)
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ def box_ground_state(length: float, n: int = 8192) -> Grid:
     width = 16.0 * length
     dx = width / n
     if not np.finfo(float).tiny <= dx < math.inf:
-        raise InvalidInputError(f"length = {length!r} gives a grid spacing {dx!r} out of range")
+        raise InvalidInputError(f"length = {length!r} puts the grid spacing {dx!r} out of range")
     x0 = -(width - length) / 2.0
     xs = x0 + dx * np.arange(n)
     amps = np.where(
