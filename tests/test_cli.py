@@ -234,7 +234,6 @@ NAMED_ERRORS = {
 
 
 class TestErrorsAtSource:
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv, filename, content",
         [

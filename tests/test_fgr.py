@@ -121,7 +121,6 @@ class TestSimulateDecay:
         with pytest.raises(InvalidInputError):
             sample.curve([0.0, -1.0])
 
-    @pytest.mark.filterwarnings("error")
     def test_gamma_whose_waiting_times_overflow_rejected(self):
         # 37 n / gamma bounds the sum of n waiting times: 2e-302 at n = 1e5
         for gamma in (1e-320, 1e-302):

@@ -39,7 +39,6 @@ class TestGrids:
         with pytest.raises(InvalidInputError, match="variance"):
             qiur.gaussian_packet(sigma_x)
 
-    @pytest.mark.filterwarnings("error")
     def test_gaussian_packet_rejects_all_zero_amplitudes(self):
         # the packet is far narrower than the rounding of x0 + (n//2)*dx, so
         # every grid point lies many sigma_x from the center

