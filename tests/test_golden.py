@@ -47,6 +47,8 @@ CASES: dict[str, list[str]] = {
     "szilard-si": ["szilard", "--si", "--cycles", "3"],
     "szilard-csv": ["szilard", "--cycles", "5", "--format", "csv", "--output", REPORT],
     "szilard-json": ["szilard", "--cycles", "3", "--output", JSON_REPORT],
+    "szilard-long": ["szilard", "--cycles", "2000", "--seed", "5", "--format", "csv",
+                     "--output", REPORT],
     "speed-demon": ["speed-demon"],
     "speed-demon-csv": ["speed-demon", "--format", "csv", "--output", REPORT],
     "einstein": ["einstein"],
