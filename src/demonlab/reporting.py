@@ -54,5 +54,4 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -21,14 +21,14 @@ is identical in both:
 - "exact-gaussian": sigma_x = L, sigma_p = hbar / 2L (product hbar/2)
 
 The insertion energy is booked to the external agent placing the partition.
-States are immutable; run_cycle threads them, so concurrent scenarios need
-independent ledgers.
+States are immutable.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,24 +86,15 @@ def initial_state(
     convention: str = CONVENTION_BOX_SCALE,
 ) -> MoleculeGaussian:
     """Decohered whole-box packet: sigma_x = L and the convention's sigma_p."""
-    if convention not in CONVENTIONS:
-        raise InvalidInputError(f"convention must be one of {CONVENTIONS}")
     length = box.length_L
-    if convention == CONVENTION_BOX_SCALE:
-        sigma_p = units.h / (2.0 * length)
-    else:
-        sigma_p = units.hbar / (2.0 * length)
+    sigma_p = (units.h if convention == CONVENTION_BOX_SCALE else units.hbar) / (2.0 * length)
     # insertion doubles sigma_p, so that must stay finite too
     if not 0.0 < sigma_p < 2.0 * sigma_p < math.inf:
         raise InvalidInputError(
             f"length_L={length!r} and {units} put sigma_p = {sigma_p!r} out of float64 range"
         )
-    return MoleculeGaussian(
-        state=GaussianState(sigma_x=length, sigma_p=sigma_p),
-        side=SIDE_WHOLE,
-        box_length=length,
-        convention=convention,
-    )
+    # MoleculeGaussian refuses an unknown convention
+    return MoleculeGaussian(GaussianState(length, sigma_p), SIDE_WHOLE, length, convention)
 
 
 def insert_partition(
@@ -123,15 +114,9 @@ def insert_partition(
         raise InvalidStateError("partition already inserted")
     sigma_p_f = 2.0 * state.state.sigma_p
     delta_s = units.k * math.log(sigma_p_f / state.state.sigma_p)
-    rng = np.random.default_rng(rng_seed)
-    side = SIDE_LEFT if rng.random() < 0.5 else SIDE_RIGHT
-    new_state = MoleculeGaussian(
-        state=GaussianState(sigma_x=state.state.sigma_x / 2.0, sigma_p=sigma_p_f),
-        side=side,
-        box_length=state.box_length,
-        convention=state.convention,
-    )
-    return new_state, delta_s
+    side = SIDE_LEFT if np.random.default_rng(rng_seed).random() < 0.5 else SIDE_RIGHT
+    localized = GaussianState(sigma_x=state.state.sigma_x / 2.0, sigma_p=sigma_p_f)
+    return replace(state, state=localized, side=side), delta_s
 
 
 def extract_work(
@@ -197,6 +182,60 @@ class EntropyLedger:
         }
 
 
+#: Largest n_cycles run_cycle accepts; at the limit the 2 * 10**6 ledger entries take ~0.33 GB.
+MAX_CYCLES = 10**6
+_M32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hash32(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence hash step on uint32 words; const stays a Python int so nothing warns."""
+    const_next = (const * mult) & _M32
+    value = (value ^ const) * const_next
+    return value ^ (value >> 16), const_next
+
+
+def _mulhi64(x: np.ndarray, y: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * y, from 32-bit halves."""
+    x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = ((x0 * y0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _first_draw_below_half(seeds: np.ndarray) -> np.ndarray:
+    """np.random.default_rng(s).random() < 0.5 for each seed 0 <= s < 2**64, bit for bit.
+
+    SeedSequence(s) hashes the seed's 32-bit words (low, high) into its pool
+    and generate_state(4, uint64) seeds PCG64; random() < 0.5 when the top
+    bit of PCG64's first XSL-RR output is clear.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    pool += [np.zeros(seeds.size, np.uint32)] * 2
+    const = 0x43B0D7E5
+    for i in range(4):
+        pool[i], const = _hash32(pool[i], const, 0x931E8875)
+    for src, dst in itertools.permutations(range(4), 2):
+        hashed, const = _hash32(pool[src], const, 0x931E8875)
+        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
+        pool[dst] = mixed ^ (mixed >> 16)
+    words, const = [], 0x8B51F9DD
+    for i in range(8):
+        word, const = _hash32(pool[i % 4], const, 0x58F38DED)
+        words.append(word)
+    s_hi, s_lo, q_hi, q_lo = np.stack(words, axis=1).astype("<u4").view("<u8").T
+    # x = x * m + inc from x = s, with inc = 2q + 1: m = 1 and then the multiplier
+    # seed PCG64 (srandom), and one more multiplier step precedes the first output
+    inc_hi, inc_lo, hi, lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1, s_hi, s_lo
+    for m_hi, m_lo in ((0, 1), (_PCG_MULT_HI, _PCG_MULT_LO), (_PCG_MULT_HI, _PCG_MULT_LO)):
+        hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
+        lo = lo * m_lo + inc_lo
+        hi += inc_hi + (lo < inc_lo)
+    xored, rot = hi ^ lo, hi >> 58
+    return (xored >> ((rot + 63) & 63)) & 1 == 0  # top bit of rotr(xored, rot)
+
+
 def run_cycle(
     box: EngineBox,
     n_cycles: int,
@@ -209,19 +248,20 @@ def run_cycle(
     Each cycle books +k ln 2 at insertion (charged to the agent) and
     -k ln 2 to the bath during the expansion that extracts kT ln 2 of work,
     so the universe's entropy change is nonnegative after every entry and
-    exactly zero at the end of every cycle.
+    exactly zero at the end of every cycle. One insertion and one expansion
+    price every cycle. The sides come from one pass over the seeds that
+    default_rng(rng_seed) draws, one per cycle; each is the side that
+    insert_partition draws from default_rng(that seed).
     """
-    if n_cycles < 1:
-        raise InvalidInputError("n_cycles must be >= 1")
-    ledger = EntropyLedger()
-    rng = np.random.default_rng(rng_seed)
+    if not 1 <= n_cycles <= MAX_CYCLES:
+        raise InvalidInputError(f"n_cycles must be in [1, {MAX_CYCLES}], got {n_cycles!r}")
+    side_seeds = np.random.default_rng(rng_seed).integers(0, 2**63 - 1, size=n_cycles)
     state = initial_state(box, units, convention)
+    inserted, ds_insert = insert_partition(state, int(side_seeds[0]), units)
+    work, ds_bath, _ = extract_work(inserted, box, units)
+    left = _first_draw_below_half(side_seeds)
+    ledger = EntropyLedger(sides=np.where(left, SIDE_LEFT, SIDE_RIGHT).tolist())
     for cycle in range(1, n_cycles + 1):
-        # thread the side draws through one generator so seeds shuffle sides
-        side_seed = int(rng.integers(0, 2**63 - 1))
-        state, ds_insert = insert_partition(state, side_seed, units)
-        ledger.sides.append(state.side)
         ledger.append(cycle, "insertion", ds_insert, 0.0)
-        work, ds_bath, state = extract_work(state, box, units)
         ledger.append(cycle, "expansion", ds_bath, work)
     return ledger

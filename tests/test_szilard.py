@@ -19,6 +19,20 @@ def make_box(length=1.0, temperature=1.0, mass=1.0):
     return szilard.EngineBox(length_L=length, temperature_T=temperature, mass_m=mass)
 
 
+def reference_run_cycle(box, n_cycles, rng_seed, units, convention):
+    """One seeded generator, one insertion and one expansion per cycle, in order."""
+    ledger = szilard.EntropyLedger()
+    rng = np.random.default_rng(rng_seed)
+    state = szilard.initial_state(box, units, convention)
+    for cycle in range(1, n_cycles + 1):
+        state, ds_insert = szilard.insert_partition(state, int(rng.integers(0, 2**63 - 1)), units)
+        ledger.sides.append(state.side)
+        ledger.append(cycle, "insertion", ds_insert, 0.0)
+        work, ds_bath, state = szilard.extract_work(state, box, units)
+        ledger.append(cycle, "expansion", ds_bath, work)
+    return ledger
+
+
 class TestInitialState:
     def test_box_scale_convention_unit_box(self):
         state = szilard.initial_state(make_box())
@@ -208,6 +222,24 @@ class TestRunCycle:
         with pytest.raises(InvalidInputError):
             szilard.run_cycle(make_box(), 0, rng_seed=0)
 
+    @pytest.mark.parametrize("n_cycles", [szilard.MAX_CYCLES + 1, 10**20])
+    def test_cycle_count_limit_names_n_cycles(self, n_cycles):
+        with pytest.raises(InvalidInputError, match="n_cycles"):
+            szilard.run_cycle(make_box(), n_cycles, rng_seed=0)
+
+    @pytest.mark.parametrize("units", [UnitSystem(), UnitSystem.si()], ids=["natural", "si"])
+    @pytest.mark.parametrize("convention", szilard.CONVENTIONS)
+    def test_equals_the_per_cycle_loop(self, convention, units):
+        box = make_box(length=0.7, temperature=2.5)
+        for seed in (0, 21):
+            got = szilard.run_cycle(box, 3000, seed, units, convention)
+            want = reference_run_cycle(box, 3000, seed, units, convention)
+            assert got.sides == want.sides
+            assert got.to_rows() == want.to_rows()
+            assert got.net_entropy() == want.net_entropy()
+            assert got.net_work() == want.net_work()
+
+
     def test_work_bounded_by_kT_ln2_per_cycle(self):
         units = UnitSystem(k=2.0)
         box = make_box(temperature=3.0)
@@ -215,6 +247,18 @@ class TestRunCycle:
         per_cycle = ledger.net_work() / 10
         assert per_cycle <= units.k * 3.0 * LN2 * (1 + 1e-14)
         assert per_cycle == pytest.approx(units.k * 3.0 * LN2, rel=1e-14)
+
+
+class TestSideMap:
+    def test_equals_the_first_draw_of_each_seed(self):
+        generated = np.random.default_rng(2024).integers(0, 2**63 - 1, size=10_000)
+        edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63 - 2], dtype=np.uint64)
+        seeds = np.concatenate([generated.astype(np.uint64), edges])
+        want = [np.random.default_rng(int(s)).random() < 0.5 for s in seeds]
+        got = szilard._first_draw_below_half(seeds)
+        assert got.dtype == bool
+        assert got.tolist() == want
+        assert 0.45 < got.mean() < 0.55
 
 
 class TestLedgerEmission:
