@@ -38,6 +38,11 @@ MIN_GRID_POINTS = 64
 _NORM_TOL = 1e-10
 
 
+def _require_grid_size(n: int) -> None:
+    if n < MIN_GRID_POINTS:
+        raise InvalidInputError(f"grid needs at least {MIN_GRID_POINTS} points")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Complex amplitudes on the points origin + j*spacing, normalized on the grid.
@@ -54,8 +59,7 @@ class Grid:
         a = np.array(self.amps, dtype=complex)
         if a.ndim != 1:
             raise InvalidInputError("grid amplitudes must be one-dimensional")
-        if a.size < MIN_GRID_POINTS:
-            raise InvalidInputError(f"grid needs at least {MIN_GRID_POINTS} points")
+        _require_grid_size(a.size)
         require_positive("grid spacing", self.spacing)
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("grid amplitudes contain non-finite values")
@@ -192,6 +196,7 @@ def gaussian_packet(
     if not (variance > 0 and math.isfinite(variance)):
         raise InvalidInputError(f"sigma_x = {sigma_x!r} gives a zero or non-finite variance")
     width = span if span is not None else 16.0 * sigma_x
+    _require_grid_size(n)
     dx = width / n
     x0 = center - (n // 2) * dx
     xs = x0 + dx * np.arange(n)
@@ -210,10 +215,16 @@ def box_ground_state(length: float, n: int = 8192) -> Grid:
     default: the kinked box edges converge only as dx^2.
     """
     require_positive("length", length)
+    _require_grid_size(n)
     width = 16.0 * length
     dx = width / n
     if not np.finfo(float).tiny <= dx < math.inf:
         raise InvalidInputError(f"length = {length!r} puts the grid spacing {dx!r} out of range")
+    # rho ln rho is summed before the spacing scales it: sum rho = 1/dx with rho
+    # up to 2/L in position, and (h = 1) sum rho = 16 L with rho up to L in momentum
+    for total, peak in ((1 / dx, 2 / length), (width, length)):
+        if not total * (abs(math.log(peak)) + 1) < math.inf:
+            raise InvalidInputError(f"length = {length!r} on {n} points overflows sum rho ln rho")
     x0 = -(width - length) / 2.0
     xs = x0 + dx * np.arange(n)
     amps = np.where(

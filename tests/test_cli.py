@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from demonlab import cli
+from demonlab import cli, szilard
 from demonlab.cli import UsageError
 
 
@@ -226,10 +226,14 @@ class TestExitContract:
 NAMED_ERRORS = {
     "box-length-subnormal": (["qiur", "--box-length", "1e-320"], ["length"]),
     "box-length-overflow": (["qiur", "--box-length", "1e308"], ["length"]),
+    "box-entropy-overflow-small": (["qiur", "--box-length", "1e-305"], ["length"]),
+    "box-entropy-overflow-large": (["qiur", "--box-length", "1e307"], ["length"]),
     "szilard-length-overflow": (["szilard", "--length", "1e308"], ["length_L"]),
     "szilard-length-subnormal": (["szilard", "--length", "1e-320"], ["length_L"]),
     "p-rms-overflow": (["speed-demon", "--mass", "1e300", "--temperature", "1e300"],
                        ["temperature_T", "mass_m", "UnitSystem"]),
+    "cycles-huge": (["szilard", "--cycles", str(10**20)], ["n_cycles"]),
+    "cycles-over-limit": (["szilard", "--cycles", str(szilard.MAX_CYCLES + 1)], ["n_cycles"]),
 }
 
 
@@ -252,13 +256,16 @@ class TestErrorsAtSource:
             (["speed-demon", "--h", "1e-300"], None, None),
             (["qiur", "--input"], "psi.csv", "x,re,im\n0,0,0\n1,0,0\n2,0,0\n"),
             (["qiur", "--input"], "psi.csv", "x,re,im\n0,1e200,0\n1,1e200,0\n"),
+            (["qiur", "--grid-n", "0"], None, None),
+            (["qiur", "--box-length", "1", "--grid-n", "0"], None, None),
             *((argv, None, None) for argv, _names in NAMED_ERRORS.values()),
         ],
         ids=[
             "rates-not-numeric", "rates-ragged", "p0-wrong-length", "csv-short-row",
             "sigma-x-underflow", "rates-disconnected", "sigma-step-overflow",
             "sigma-step-underflow", "gamma-subnormal", "t-max-overflow", "temperature-subnormal",
-            "h-underflow", "csv-zero", "csv-norm-overflow", *NAMED_ERRORS,
+            "h-underflow", "csv-zero", "csv-norm-overflow", "grid-n-zero", "box-grid-n-zero",
+            *NAMED_ERRORS,
         ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
@@ -278,6 +285,14 @@ class TestErrorsAtSource:
         assert cli.main(argv) == 1
         line = capsys.readouterr().err
         assert all(name in line for name in names), line
+
+    def test_grid_size_is_checked_before_the_spacing(self, capsys):
+        lines = []
+        for argv in (["qiur", "--grid-n", "0"], ["qiur", "--box-length", "1", "--grid-n", "0"],
+                     ["qiur", "--grid-n", "63"]):
+            assert cli.main(argv) == 1
+            lines.append(capsys.readouterr().err)
+        assert lines == ["demonlab qiur: error: grid needs at least 64 points\n"] * 3
 
 
 class TestCost:

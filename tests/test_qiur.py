@@ -45,6 +45,22 @@ class TestGrids:
         with pytest.raises(InvalidInputError, match="amplitudes"):
             qiur.gaussian_packet(1e-20, center=0.1, span=1e6, n=64)
 
+    @pytest.mark.parametrize("n", [0, 63])
+    def test_builders_check_the_size_before_the_spacing(self, n):
+        for build in (qiur.gaussian_packet, qiur.box_ground_state):
+            with pytest.raises(InvalidInputError, match="at least 64 points"):
+                build(1.0, n=n)
+
+    @pytest.mark.parametrize("length, n", [(1e-305, 4096), (1e307, 4096), (1e-302, 65536)])
+    def test_box_rejects_an_overflowing_entropy_sum(self, length, n):
+        with pytest.raises(InvalidInputError, match="length"):
+            qiur.box_ground_state(length, n=n)
+
+    @pytest.mark.parametrize("length, n", [(1e-303, 4096), (1e304, 4096), (1e-300, 64)])
+    def test_box_entropies_finite_just_inside_the_guard(self, length, n):
+        report = qiur.entropy_report(qiur.box_ground_state(length, n=n))
+        assert all(math.isfinite(report[key]) for key in ("I_x", "I_p", "joint"))
+
 
 class TestToMomentum:
     def test_gaussian_width_at_hbar_one(self):
