@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidInputError, require_positive
+from .errors import NORMAL, InvalidInputError, require_positive
 
 STEP_PLUS_MINUS_ONE = "plus_minus_one"
 STEP_GAUSSIAN = "gaussian"
@@ -40,17 +40,16 @@ class WalkSpec:
     sigma_step: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise InvalidInputError("n_steps must be >= 1")
-        if self.n_walkers < 1:
-            raise InvalidInputError("n_walkers must be >= 1")
+        require_positive("n_steps", self.n_steps, least=1)
+        require_positive("n_walkers", self.n_walkers, least=1)
         if self.step_law not in STEP_LAWS:
             raise InvalidInputError(f"step_law must be one of {STEP_LAWS}")
         require_positive("sigma_step", self.sigma_step)
         # a normal var, and a finite sum of the fit's n_steps squared MSDs (each ~ (n_steps var)^2)
         var = self.sigma_step * self.sigma_step if self.step_law == STEP_GAUSSIAN else 1.0
-        if not (var >= np.finfo(float).tiny and math.isfinite(self.n_steps**3 * var * var)):
-            raise InvalidInputError(f"sigma_step out of float64 range, got {self.sigma_step!r}")
+        source = f"sigma_step out of float64 range: with sigma_step={self.sigma_step!r},"
+        require_positive(f"{source} the variance", var, least=NORMAL)
+        require_positive(f"{source} n_steps**3 var**2", self.n_steps**3 * var * var, least=0.0)
 
     @property
     def step_variance(self) -> float:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import __version__
-from .errors import DemonlabError, InvalidInputError
+from .errors import DemonlabError, InvalidInputError, require_positive
 from .reporting import KV_HEADER, json_dumps, kv_rows, write_csv, write_json
 from .units import UnitSystem
 
@@ -201,6 +201,8 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
 
     if params["format"] not in ("json", "csv"):
         raise UsageError(f"format must be json or csv, got {params['format']!r}")
+    if params["seed"] < 0:  # numpy seeds take nonnegative integers only
+        raise UsageError(f"seed must be >= 0, got {params['seed']}")
     return RunConfig(scenario=scenario, params=params)
 
 
@@ -233,7 +235,7 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         p0 = markov.ProbDist(draw / draw.sum())
 
     t_max = params["t_max"] if params["t_max"] > 0 else 25.0 / markov.spectral_gap(rates)
-    grid = np.linspace(0.0, t_max, max(params["samples"], 2))
+    grid = np.linspace(0.0, require_positive("t_max", t_max), max(params["samples"], 2))
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {
         "n_states": n,
@@ -286,7 +288,7 @@ def _run_szilard(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     )
     derived = {
         "cycles": params["cycles"],
-        "insertion_dS": ledger.entries[0].delta_s,
+        "insertion_dS": ledger.insertion_dS,
         "net_dS": ledger.net_entropy(),
         "net_work": ledger.net_work(),
         "work_per_cycle": ledger.net_work() / params["cycles"],

@@ -33,7 +33,15 @@ class NumericError(DemonlabError):
     """A computation produced non-finite or otherwise unusable values."""
 
 
-def require_positive(name: str, value: float) -> None:
-    """Raise InvalidInputError unless value is finite and > 0."""
-    if not (value > 0 and math.isfinite(value)):
-        raise InvalidInputError(f"{name} must be positive, got {value!r}")
+NORMAL = 2.0**-1022
+
+
+def require_positive(name: str, value: float, *, least: float = math.ulp(0.0)) -> float:
+    """Return value if least <= value < inf (never NaN); else raise InvalidInputError.
+
+    The default least accepts any positive value, NORMAL (the smallest normal float64)
+    no subnormal, and 0.0 an underflow to zero. Name a derived value by its inputs."""
+    if not least <= value < math.inf:
+        bound = "positive" if least == math.ulp(0.0) else f">= {least!r}"
+        raise InvalidInputError(f"{name} must be finite and {bound}, got {value!r}")
+    return value

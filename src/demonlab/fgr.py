@@ -33,10 +33,8 @@ class DecayChannel:
     density_of_states: float
 
     def __post_init__(self) -> None:
-        if not (self.matrix_element_sq >= 0 and math.isfinite(self.matrix_element_sq)):
-            raise InvalidInputError("matrix_element_sq must be finite and >= 0")
-        if not (self.density_of_states >= 0 and math.isfinite(self.density_of_states)):
-            raise InvalidInputError("density_of_states must be finite and >= 0")
+        require_positive("matrix_element_sq", self.matrix_element_sq, least=0.0)
+        require_positive("density_of_states", self.density_of_states, least=0.0)
 
 
 @dataclass(frozen=True)
@@ -141,12 +139,10 @@ def simulate_decay(gamma: float, n_samples: int, rng_seed: int) -> DecaySample:
     seed yields a bit-identical survival curve.
     """
     require_positive("gamma", gamma)
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be >= 1")
+    require_positive("n_samples", n_samples, least=1)
     # each time -ln(1 - U) / gamma is below 37 / gamma (U < 1 has 53 bits), so when this
     # is finite, so are the times' sum, the lifetime and the curve's five lifetimes
-    if not math.isfinite(37.0 * n_samples / gamma):
-        raise InvalidInputError(f"gamma too small: the waiting times overflow, got {gamma!r}")
+    require_positive(f"gamma too small: 37 n_samples / {gamma!r}", 37.0 * n_samples / gamma)
     rng = np.random.default_rng(rng_seed)
     u = rng.random(n_samples)
     times = -np.log1p(-u) / gamma

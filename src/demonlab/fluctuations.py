@@ -55,8 +55,7 @@ class FluctuationSpec:
     rounding_remainder: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.n_components >= 1 and math.isfinite(self.n_components)):
-            raise InvalidInputError("n_components must be >= 1")
+        require_positive("n_components", self.n_components, least=1.0)
         require_positive("volume_v", self.volume_v)
         require_positive("volume_v0", self.volume_v0)
         if self.volume_v > self.volume_v0 and not self.allow_expansion:
@@ -83,9 +82,8 @@ class FluctuationSpec:
         allow_expansion: bool = False,
     ) -> "FluctuationSpec":
         """Spec with N = E / (h nu); the integer-rounding remainder is recorded."""
-        require_positive("energy", energy)
-        require_positive("frequency", frequency)
-        n = energy / (units.h * frequency)
+        h_nu = require_positive(f"h * frequency of {units}", units.h * frequency)
+        n = require_positive("N = energy / (h * frequency)", energy / h_nu, least=1.0)
         return cls(
             n_components=n,
             volume_v=volume_v,
@@ -108,8 +106,7 @@ def radiation_entropy_change(
     units: UnitSystem = NATURAL_UNITS,
 ) -> float:
     """k (E / h nu) ln(V/V0); the gas formula with N read off the radiation."""
-    if energy < 0 or not math.isfinite(energy):
-        raise InvalidInputError("energy must be finite and nonnegative")
+    require_positive("energy", energy, least=0.0)
     require_positive("frequency", frequency)
     if not (volume_v > 0 and volume_v0 > 0):
         raise InvalidInputError("volumes must be positive")

@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     NonUniqueEquilibriumError,
     NumericError,
+    require_positive,
 )
 from .units import NATURAL_UNITS, UnitSystem
 
@@ -156,8 +157,8 @@ def build_master_operator(rates: RateMatrix) -> MasterOperator:
 
 def _clamped(raw: np.ndarray) -> np.ndarray:
     """Clip the rounding negatives of propagated rows and renormalise each row."""
-    if not np.all(np.isfinite(raw)):
-        raise NumericError("evolution produced non-finite entries")
+    if not (np.all(np.isfinite(raw)) and np.all(raw.max(axis=-1) > 0)):
+        raise NumericError("evolution produced non-finite entries or a row without mass")
     # Propagation may carry O(1e-15) negatives; anything worse is a bug.
     if raw.min() < -1e-12:
         raise NumericError(f"evolution produced entry {raw.min()!r} below -1e-12")
@@ -350,10 +351,13 @@ def verify_h_theorem(
     op = build_master_operator(rates)
     p_eq = equilibrium_distribution(rates)
     samples = _propagate(p0, op, ts)
-    entropy = _entropies(samples, units.k)
+    entropy = _entropies(samples, 1.0)  # in units of k: k scales both once it is checked
     floored = np.clip(samples, PROB_FLOOR, None)
     floored /= floored.sum(axis=1, keepdims=True)
-    production = _production_rates(floored, op.matrix, units.k)
+    production = _production_rates(floored, op.matrix, 1.0)
+    largest = max(float(np.abs(entropy).max()), float(np.abs(production).max()))
+    require_positive(f"{units}'s k times {largest!r}", units.k * largest, least=0.0)
+    entropy, production = units.k * entropy, units.k * production
     dist = np.max(np.abs(samples - p_eq.p), axis=1)
 
     monotone = bool(np.all(np.diff(entropy) >= -1e-12))

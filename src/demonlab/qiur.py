@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, require_positive
+from .errors import NORMAL, InvalidInputError, require_positive
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Hard floor on grid sizes for entropy work; coarser grids alias badly.
@@ -88,9 +88,7 @@ def _normalized(source: str, origin: float, spacing: float, amps: np.ndarray) ->
     """
     with np.errstate(over="ignore"):
         norm = float(np.sum(np.abs(amps) ** 2) * spacing)
-    if not (norm > 0 and math.isfinite(norm)):
-        raise InvalidInputError(f"{source} has zero or non-finite amplitudes on the grid")
-    amps /= math.sqrt(norm)
+    amps /= math.sqrt(require_positive(f"the norm of {source}'s amplitudes on the grid", norm))
     return Grid(origin, spacing, amps)
 
 
@@ -115,13 +113,21 @@ def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
     hbar = units.hbar
     n = psi.n
     m = n // 2
+    source = f"{units} and the position spacing {psi.spacing!r}"
+    # a normal dp keeps |phi|^2 <= 1/dp finite; the phase p * origin / hbar forms p * origin,
+    # at most m dp |origin|, and divides by hbar
     dp = 2.0 * math.pi * hbar / (n * psi.spacing)
+    require_positive(f"the momentum spacing of {source}", dp, least=NORMAL)
+    require_positive(f"the phase of {source}", max(m * dp * max(1.0, abs(psi.origin)), 1 / hbar))
     ps = (np.arange(n) - m) * dp
     j = np.arange(n)
     pre_phase = np.exp(2j * math.pi * m * j / n)
     spectrum = np.fft.fft(psi.amps * pre_phase)
     scale = psi.spacing / math.sqrt(2.0 * math.pi * hbar)
     amps = scale * np.exp(-1j * ps * psi.origin / hbar) * spectrum
+    # rho ln rho is summed before dp scales it: sum rho = 1/dp, rho up to max |amps|^2 >= 1/(n dp)
+    peak = float(np.abs(amps).max()) ** 2
+    require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
     return Grid(origin=float(ps[0]), spacing=dp, amps=amps)
 
 
@@ -193,9 +199,10 @@ def gaussian_packet(
     """
     require_positive("sigma_x", sigma_x)
     variance = 2.0 * math.pi * (sigma_x * sigma_x)
-    if not (variance > 0 and math.isfinite(variance)):
-        raise InvalidInputError(f"sigma_x = {sigma_x!r} gives a zero or non-finite variance")
+    require_positive(f"the variance 2 pi sigma_x**2 of sigma_x={sigma_x!r}", variance)
+    require_positive(f"1 / hbar of {units}", 1 / max(units.hbar, 5e-324))  # hbar may be 0
     width = span if span is not None else 16.0 * sigma_x
+    require_positive(f"the squared half span of sigma_x={sigma_x!r}", (width / 2) * (width / 2))
     _require_grid_size(n)
     dx = width / n
     x0 = center - (n // 2) * dx
@@ -214,17 +221,14 @@ def box_ground_state(length: float, n: int = 8192) -> Grid:
     decaying |phi|^2 tail is resolved. The default n is twice the Gaussian
     default: the kinked box edges converge only as dx^2.
     """
-    require_positive("length", length)
     _require_grid_size(n)
     width = 16.0 * length
-    dx = width / n
-    if not np.finfo(float).tiny <= dx < math.inf:
-        raise InvalidInputError(f"length = {length!r} puts the grid spacing {dx!r} out of range")
+    source = f"length = {length!r} on {n} points"
+    dx = require_positive(f"the grid spacing of {source}", width / n, least=NORMAL)
     # rho ln rho is summed before the spacing scales it: sum rho = 1/dx with rho
     # up to 2/L in position, and (h = 1) sum rho = 16 L with rho up to L in momentum
     for total, peak in ((1 / dx, 2 / length), (width, length)):
-        if not total * (abs(math.log(peak)) + 1) < math.inf:
-            raise InvalidInputError(f"length = {length!r} on {n} points overflows sum rho ln rho")
+        require_positive(f"sum rho ln rho of {source}", total * (abs(math.log(peak)) + 1))
     x0 = -(width - length) / 2.0
     xs = x0 + dx * np.arange(n)
     amps = np.where(

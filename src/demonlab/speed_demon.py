@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_positive
+from .errors import NORMAL, InvalidInputError, require_positive
 from .qiur import GaussianState, gaussian_information
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
@@ -54,8 +54,8 @@ class ProbeSpec:
         cls, gas: GasSpec, ratio: float, units: UnitSystem = NATURAL_UNITS
     ) -> "ProbeSpec":
         """Probe with h*nu_low = kT / ratio."""
-        require_positive("ratio", ratio)
-        return cls(nu_low=units.k * gas.temperature_T / (ratio * units.h))
+        ratio_h = require_positive(f"ratio * h of ratio={ratio!r} and {units}", ratio * units.h)
+        return cls(nu_low=units.k * gas.temperature_T / ratio_h)
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,14 @@ class SortingGeometry:
 def rms_momentum(gas: GasSpec, units: UnitSystem = NATURAL_UNITS) -> float:
     """Thermal root-mean-square momentum sqrt(3 m k T)."""
     p_rms = math.sqrt(3.0 * gas.mass_m * units.k * gas.temperature_T)
-    if not 0.0 < p_rms < math.inf:
-        raise InvalidInputError(
-            f"temperature_T={gas.temperature_T!r}, mass_m={gas.mass_m!r} and {units} put "
-            f"the rms momentum sqrt(3 m k T) = {p_rms!r} out of float64 range"
-        )
-    return p_rms
+    source = f"temperature_T={gas.temperature_T!r}, mass_m={gas.mass_m!r} and {units}"
+    return require_positive(f"the rms momentum sqrt(3 m k T) of {source}", p_rms)
 
 
 def max_door_size(sigma_p: float, units: UnitSystem = NATURAL_UNITS) -> float:
     """Largest leak-free door for momentum spread sigma_p: h / (4 pi sigma_p)."""
     require_positive("sigma_p", sigma_p)
-    return units.h / (4.0 * math.pi * sigma_p)
+    return require_positive(f"h / (4 pi {sigma_p!r}) of {units}", units.h / (4 * math.pi * sigma_p))
 
 
 def post_measurement_spreads(
@@ -96,6 +92,7 @@ def post_measurement_spreads(
     if units.h * probe.nu_low >= units.k * gas.temperature_T:
         warnings.warn("probe energy h*nu_low >= kT: outside the gentle-probe regime", stacklevel=2)
     sigma_p = math.sqrt(3.0 * gas.mass_m * units.h * probe.nu_low)
+    require_positive(f"sigma_p of mass_m={gas.mass_m!r}, nu_low={probe.nu_low!r}, {units}", sigma_p)
     sigma_x = units.h / (4.0 * math.pi * sigma_p)
     return GaussianState(sigma_x=sigma_x, sigma_p=sigma_p)
 
@@ -128,11 +125,11 @@ def information_ledger(
     post = post_measurement_spreads(gas, probe, units)
     # gaussian_information takes the log of 2 pi sigma^2 e: each must be a normal float
     for s in (pre.sigma_x, pre.sigma_p, post.sigma_x, post.sigma_p):
-        if not np.finfo(float).tiny <= 2.0 * math.pi * s * s * math.e < math.inf:
-            raise InvalidInputError(
-                f"temperature_T={gas.temperature_T!r}, mass_m={gas.mass_m!r}, nu_low="
-                f"{probe.nu_low!r} and {units} put a packet spread out of float64 range"
-            )
+        require_positive(
+            f"2 pi e sigma^2 of a packet spread from temperature_T={gas.temperature_T!r}, "
+            f"mass_m={gas.mass_m!r}, nu_low={probe.nu_low!r} and {units}",
+            2.0 * math.pi * s * s * math.e, least=NORMAL,
+        )
     ds_momentum = units.k * (
         gaussian_information(post.sigma_p) - gaussian_information(pre.sigma_p)
     )
@@ -192,8 +189,7 @@ def simulate_sorting(
     the door (the most demon-friendly placement); passage means
     |x| < d / 2. The analytic probability is erf(d / (2 sqrt(2) sigma_x)).
     """
-    if n_attempts < 1:
-        raise InvalidInputError("n_attempts must be >= 1")
+    require_positive("n_attempts", n_attempts, least=1)
     spreads = post_measurement_spreads(gas, probe, units)
     d = geometry.door_size_d
     rng = np.random.default_rng(rng_seed)

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +355,94 @@ class TestReproducibility:
         run_cli("szilard", "--output", str(out))
         keys = list(json.loads(out.read_text()))
         assert keys == sorted(keys)
+
+
+WAVEFN = str(Path(__file__).with_name("golden") / "wavefn.csv")
+
+#: Inputs whose momentum grid leaves float64 range; each error line names h (the
+#: UnitSystem) and the position spacing.
+MOMENTUM_GRID_ERRORS = {
+    "box-si": ["qiur", "--box-length", "1e280", "--si"],
+    "box-tiny-h": ["qiur", "--box-length", "1e20", "--h", "1e-300"],
+    "small-box-huge-h": ["qiur", "--box-length", "1e-280", "--h", "1e300"],
+    "huge-h": ["qiur", "--h", "1e308"],
+    "csv-huge-h": ["qiur", "--input", WAVEFN, "--h", "1e307"],
+    "csv-subnormal-h": ["qiur", "--input", WAVEFN, "--h", "1e-320"],
+}
+
+#: Escapes that a fuzzed argv once found: each now ends in one error line.
+FUZZ_FINDINGS = {
+    "einstein-n-overflow": ["einstein", "--energy", "1e20", "--frequency", "5e-324"],
+    "einstein-h-nu-underflow": ["einstein", "--energy", "300", "--frequency", "1e-300",
+                                "--h", "1e-30"],
+    "h-theorem-huge-k": ["h-theorem", "--k", "1.7976931348623157e308"],
+    "h-theorem-inf-t-max": ["h-theorem", "--t-max", "inf"],
+    "h-theorem-t-max-beyond-spectrum": ["h-theorem", "--states", "4", "--t-max", "1e20"],
+    "qiur-subnormal-hbar": ["qiur", "--h", "5e-324"],
+    "qiur-hbar-below-1-over-max": ["qiur", "--h", "2.2250738585072014e-308"],
+    "qiur-half-span-overflow": ["qiur", "--sigma-x", "5e153"],
+    "speed-demon-ratio-h-underflow": ["speed-demon", "--si", "--ratio", "1e-300"],
+    "speed-demon-probe-spread-underflow": ["speed-demon", "--mass", "5e-324", "--nu-low", "1e-300"],
+    "speed-demon-door-underflow": ["speed-demon", "--h", "2.2250738585072014e-308",
+                                   "--temperature", "1e300", "--nu-low", "500", "--door", "1"],
+    "szilard-net-work-overflow": ["szilard", "--cycles", "3", "--temperature", "1e308"],
+}
+
+
+class TestMomentumGridAndFuzzFindings:
+    @pytest.mark.parametrize("argv", MOMENTUM_GRID_ERRORS.values(), ids=MOMENTUM_GRID_ERRORS)
+    def test_momentum_grid_error_names_h_and_the_spacing(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("demonlab qiur: error: ")
+        assert "UnitSystem(" in lines[0] and "h=" in lines[0], lines[0]
+        assert "position spacing" in lines[0], lines[0]
+
+    @pytest.mark.parametrize("argv", FUZZ_FINDINGS.values(), ids=FUZZ_FINDINGS)
+    def test_fuzz_finding_ends_in_one_error_line(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: "), lines
+
+    def test_box_length_1e307_is_still_refused(self, capsys):
+        assert cli.main(["qiur", "--box-length", "1e307"]) == 1
+        assert "length = 1e+307" in capsys.readouterr().err
+
+
+SEEDED_SCENARIOS = ["h-theorem", "fgr", "szilard", "speed-demon", "einstein", "brownian"]
+
+
+class TestNegativeSeed:
+    def _assert_usage_error(self, code, capsys, name):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("demonlab: error: "), lines
+        assert name in lines[0]
+
+    @pytest.mark.parametrize("scenario", SEEDED_SCENARIOS)
+    def test_flag(self, scenario, monkeypatch, capsys):
+        monkeypatch.delenv("DEMONLAB_SEED", raising=False)
+        self._assert_usage_error(cli.main([scenario, "--seed", "-1"]), capsys, "seed")
+
+    @pytest.mark.parametrize("scenario", SEEDED_SCENARIOS)
+    def test_environment_variable(self, scenario, monkeypatch, capsys):
+        monkeypatch.setenv("DEMONLAB_SEED", "-1")
+        self._assert_usage_error(cli.main([scenario]), capsys, "seed")
+
+    @pytest.mark.parametrize("scenario", SEEDED_SCENARIOS)
+    def test_config_key(self, scenario, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("DEMONLAB_SEED", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        self._assert_usage_error(cli.main([scenario, "--config", str(cfg)]), capsys, "seed")
+
+    def test_a_flag_overrides_a_negative_environment_seed(self, monkeypatch):
+        monkeypatch.setenv("DEMONLAB_SEED", "-1")
+        ns = _namespace("szilard", seed="3")
+        assert cli.resolve_config("szilard", ns).params["seed"] == 3

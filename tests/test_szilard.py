@@ -1,6 +1,8 @@
 """One-molecule engine: insertion cost, extracted work, ledger balance."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +22,24 @@ def make_box(length=1.0, temperature=1.0, mass=1.0):
 
 
 def reference_run_cycle(box, n_cycles, rng_seed, units, convention):
-    """One seeded generator, one insertion and one expansion per cycle, in order."""
-    ledger = szilard.EntropyLedger()
+    """One seeded generator, one insertion and one expansion per cycle, in order.
+
+    Returns the sides, the ledger rows (cycle, label, dS, dW, running dS), and
+    the net entropy and work, each summed entry by entry.
+    """
+    sides, rows, net_entropy, net_work = [], [], 0.0, 0.0
     rng = np.random.default_rng(rng_seed)
     state = szilard.initial_state(box, units, convention)
     for cycle in range(1, n_cycles + 1):
         state, ds_insert = szilard.insert_partition(state, int(rng.integers(0, 2**63 - 1)), units)
-        ledger.sides.append(state.side)
-        ledger.append(cycle, "insertion", ds_insert, 0.0)
+        sides.append(state.side)
+        net_entropy += ds_insert
+        rows.append((cycle, "insertion", ds_insert, 0.0, net_entropy))
         work, ds_bath, state = szilard.extract_work(state, box, units)
-        ledger.append(cycle, "expansion", ds_bath, work)
-    return ledger
+        net_entropy += ds_bath
+        net_work += work
+        rows.append((cycle, "expansion", ds_bath, work, net_entropy))
+    return sides, rows, net_entropy, net_work
 
 
 class TestInitialState:
@@ -190,15 +199,16 @@ class TestExtractWork:
 class TestRunCycle:
     def test_single_cycle_entries(self):
         ledger = szilard.run_cycle(make_box(), 1, rng_seed=10)
-        assert [e.label for e in ledger.entries] == ["insertion", "expansion"]
-        assert ledger.entries[0].delta_s == pytest.approx(LN2, abs=1e-15)
-        assert ledger.entries[1].delta_s == pytest.approx(-LN2, abs=1e-15)
+        rows = ledger.to_rows()
+        assert [row[1] for row in rows] == ["insertion", "expansion"]
+        assert rows[0][2] == ledger.insertion_dS == pytest.approx(LN2, abs=1e-15)
+        assert rows[1][2] == ledger.bath_dS == pytest.approx(-LN2, abs=1e-15)
         assert ledger.net_entropy() == 0.0
         assert ledger.net_work() == pytest.approx(LN2, abs=1e-15)
 
     def test_hundred_cycles_prefix_nonnegative(self):
         ledger = szilard.run_cycle(make_box(), 100, rng_seed=11)
-        assert len(ledger.entries) == 200
+        assert len(ledger.to_rows()) == 200
         assert ledger.prefix_nonnegative(tol=1e-12)
         assert abs(ledger.net_entropy()) <= 1e-12
         cum = ledger.cumulative_entropy()
@@ -211,7 +221,7 @@ class TestRunCycle:
         assert a.sides != b.sides
         assert a.net_entropy() == b.net_entropy()
         assert a.net_work() == b.net_work()
-        assert [e.delta_s for e in a.entries] == [e.delta_s for e in b.entries]
+        assert [row[2] for row in a.to_rows()] == [row[2] for row in b.to_rows()]
 
     def test_same_seed_reproducible(self):
         a = szilard.run_cycle(make_box(), 20, rng_seed=14)
@@ -233,11 +243,13 @@ class TestRunCycle:
         box = make_box(length=0.7, temperature=2.5)
         for seed in (0, 21):
             got = szilard.run_cycle(box, 3000, seed, units, convention)
-            want = reference_run_cycle(box, 3000, seed, units, convention)
-            assert got.sides == want.sides
-            assert got.to_rows() == want.to_rows()
-            assert got.net_entropy() == want.net_entropy()
-            assert got.net_work() == want.net_work()
+            sides, rows, net_entropy, net_work = reference_run_cycle(
+                box, 3000, seed, units, convention
+            )
+            assert got.sides == sides
+            assert got.to_rows() == rows
+            assert got.net_entropy() == net_entropy
+            assert got.net_work() == net_work
 
 
     def test_work_bounded_by_kT_ln2_per_cycle(self):
@@ -279,8 +291,20 @@ class TestLedgerEmission:
         assert len(ledger.to_rows()) == 4
 
     def test_verdicts_flag_an_unbalanced_ledger(self):
-        ledger = szilard.run_cycle(make_box(), 1, rng_seed=17)
-        ledger.append(2, "insertion", 2e-12, 0.0)
+        ledger = szilard.run_cycle(make_box(), 2, rng_seed=17)
+        # each cycle leaves 2e-12 behind: every prefix stays >= 0, the net does not vanish
+        ledger = replace(ledger, insertion_dS=ledger.insertion_dS + 2e-12)
         assert ledger.verdicts() == {"prefix_nonnegative": True, "net_entropy_zero": False}
-        ledger.append(2, "expansion", -4e-12, 0.0)
+        # each cycle takes 2e-12 too many from the bath: the prefixes go below -1e-12
+        ledger = replace(ledger, insertion_dS=LN2, bath_dS=-LN2 - 2e-12)
         assert ledger.verdicts() == {"prefix_nonnegative": False, "net_entropy_zero": False}
+
+    def test_a_long_ledger_holds_one_byte_per_cycle(self):
+        tracemalloc.start()
+        try:
+            ledger = szilard.run_cycle(make_box(), 10**5, rng_seed=18)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ledger.left.nbytes == 10**5
+        assert held < 10**6
