@@ -107,10 +107,10 @@ def radiation_entropy_change(
 ) -> float:
     """k (E / h nu) ln(V/V0); the gas formula with N read off the radiation."""
     require_positive("energy", energy, least=0.0)
-    require_positive("frequency", frequency)
-    if not (volume_v > 0 and volume_v0 > 0):
-        raise InvalidInputError("volumes must be positive")
-    return units.k * (energy / (units.h * frequency)) * math.log(volume_v / volume_v0)
+    h_nu = require_positive(f"h * frequency of {units}", units.h * frequency)
+    n = require_positive("N = energy / (h * frequency)", energy / h_nu, least=0.0)
+    v, v0 = require_positive("volume_v", volume_v), require_positive("volume_v0", volume_v0)
+    return units.k * n * (math.log(v) - math.log(v0))  # no ratio to overflow
 
 
 def fluctuation_probability(spec: FluctuationSpec) -> float:

@@ -1,6 +1,7 @@
 """Volume fluctuations of independent components and Brillouin's balance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ class TestRadiationEntropyChange:
         assert spec.rounding_remainder == pytest.approx(0.0, abs=1e-14)
         direct = fl.radiation_entropy_change(12.0, 1.5, 0.5, 1.0, units)
         assert fl.gas_entropy_change(spec, units) == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((1.0, 1e-300, 0.5, 1.0, UnitSystem(h=1e-30)), "h * frequency"),  # underflows to 0
+            ((1e300, 1e-300, 0.5, 1.0), "N = energy / (h * frequency)"),  # overflows to inf
+            ((1.0, 1.0, 0.0, 1.0), "volume_v"),
+            ((1.0, 1.0, 0.5, math.inf), "volume_v0"),
+        ],
+        ids=["h-nu-underflow", "n-overflow", "zero-volume", "infinite-volume"],
+    )
+    def test_out_of_range_inputs_name_the_quantity(self, args, name):
+        with pytest.raises(InvalidInputError, match=re.escape(name)):
+            fl.radiation_entropy_change(*args)
+
+    def test_volume_ratio_beyond_float_range_stays_finite(self):
+        value = fl.radiation_entropy_change(1.0, 1.0, 1e300, 1e-300)
+        assert value == pytest.approx(600.0 * math.log(10.0), rel=1e-15)
 
 
 class TestFluctuationProbability:

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from demonlab import markov
 from demonlab.errors import (
@@ -22,6 +23,11 @@ TWO_STATE = markov.RateMatrix([[0.0, 1.0], [1.0, 0.0]])
 def two_state_closed_form(p1_initial: float, rate: float, t: float) -> float:
     # independent oracle: p1(t) = 1/2 + (p1(0) - 1/2) e^{-2 r t}
     return 0.5 + (p1_initial - 0.5) * math.exp(-2.0 * rate * t)
+
+
+def expm_reference(p0: markov.ProbDist, op: markov.MasterOperator, t: float) -> np.ndarray:
+    # independent reference: scipy's Pade scaling-and-squaring exp(L t) applied to p0
+    return expm(op.matrix * t) @ p0.p
 
 
 class TestRateMatrix:
@@ -182,27 +188,24 @@ class TestEvolve:
         with pytest.raises(InvalidInputError):
             markov.evolve(markov.ProbDist([1.0, 0.0]), op, -0.1)
 
-    @pytest.mark.parametrize("method", ["expm", "ode"])
+    @pytest.mark.parametrize("method", ["expm", "evolve"])
     @pytest.mark.parametrize("rate", [0.1, 1.0, 10.0])
     def test_both_methods_match_closed_form(self, method, rate):
-        # "expm": evolve, the matrix exponential of the generator, one time at
-        # a time; "ode": trajectory, the master equation dp/dt = Lp solved in
-        # the eigenbasis of L for all times at once.
+        # "expm": the scipy reference that the other evolve tests trust;
+        # "evolve": the library, which must also agree with that reference.
         rm = markov.RateMatrix([[0.0, rate], [rate, 0.0]])
         op = markov.build_master_operator(rm)
         p0 = markov.ProbDist([0.9, 0.1])
-        ts = (0.05, 0.7, 3.0)
-        if method == "expm":
-            outs = [markov.evolve(p0, op, t) for t in ts]
-        else:
-            outs = markov.trajectory(p0, op, ts)
-        for t, out in zip(ts, outs):
-            assert out.p[0] == pytest.approx(two_state_closed_form(0.9, rate, t), abs=1e-10)
+        for t in (0.05, 0.7, 3.0):
+            reference = expm_reference(p0, op, t)
+            out = reference if method == "expm" else markov.evolve(p0, op, t).p
+            assert out[0] == pytest.approx(two_state_closed_form(0.9, rate, t), abs=1e-10)
+            assert np.max(np.abs(out - reference)) < 1e-10
 
-    def test_stiff_generator_agrees_with_trajectory_in_time(self):
+    def test_stiff_generator_agrees_with_expm_in_time(self):
         # Rates log-uniform over six decades on a sparse graph, propagated to
         # 1e4 over the largest escape rate: an explicit integrator needs about
-        # that many steps, the matrix exponential none of them.
+        # that many steps, the eigendecomposition none of them.
         rng = np.random.default_rng(8)
         n = 100
         mask = np.triu(rng.random((n, n)) < 0.05, 1)
@@ -215,9 +218,27 @@ class TestEvolve:
         start = time.perf_counter()
         out = markov.evolve(p0, op, t)
         elapsed = time.perf_counter() - start
-        (reference,) = markov.trajectory(p0, op, [t])
-        assert np.max(np.abs(out.p - reference.p)) < 1e-10
+        assert np.max(np.abs(out.p - expm_reference(p0, op, t))) < 1e-10
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("t", [1e20, 1e300])
+    @pytest.mark.parametrize("n", [4, 6, 300])
+    def test_long_horizon_reaches_the_uniform_equilibrium(self, n, t):
+        # eigh leaves the zero eigenvalue near +-1e-15; exp(w t) of that
+        # would drain or swell the equilibrium at these horizons.
+        rng = np.random.default_rng(n)
+        op = markov.build_master_operator(markov.random_symmetric_rates(n, rng))
+        raw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
+        out = markov.evolve(markov.ProbDist(raw / raw.sum()), op, t)
+        assert np.max(np.abs(out.p - 1.0 / n)) < 1e-12
+
+    @pytest.mark.parametrize("t", [1e20, 1e300])
+    def test_long_horizon_keeps_each_component_mass(self, t):
+        # two components, so two zero eigenvalues: each keeps its own mass
+        rates = markov.RateMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
+        op = markov.build_master_operator(rates)
+        out = markov.evolve(markov.ProbDist([0.3, 0.0, 0.1, 0.6]), op, t)
+        assert np.allclose(out.p, [0.15, 0.15, 0.35, 0.35], rtol=0.0, atol=1e-12)
 
     def test_probability_conserved_and_positive(self):
         rng = np.random.default_rng(4)
@@ -248,7 +269,10 @@ class TestEvolve:
         p0 = markov.ProbDist(raw / raw.sum())
         ts = [0.0, 0.2, 1.1, 5.0]
         for t, pt in zip(ts, markov.trajectory(p0, op, ts)):
-            assert np.max(np.abs(pt.p - markov.evolve(p0, op, t).p)) < 1e-12
+            assert np.max(np.abs(pt.p - expm_reference(p0, op, t))) < 1e-12
+            if t > 0.0:  # evolve(p0, op, 0) is p0 itself
+                (single,) = markov.trajectory(p0, op, [t])
+                assert np.array_equal(markov.evolve(p0, op, t).p, single.p)
 
 
 def pairwise_production(p: np.ndarray, r: np.ndarray) -> float:
