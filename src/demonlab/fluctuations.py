@@ -93,9 +93,16 @@ class FluctuationSpec:
         )
 
 
+def _entropy_change(n: float, v: float, v0: float, units: UnitSystem) -> float:
+    """k N (ln V - ln V0): no ratio to under- or overflow, and a finite result or an error."""
+    ds = units.k * n * (math.log(v) - math.log(v0))
+    require_positive(f"|k N ln(V/V0)| of N={n!r}, V={v!r}, V0={v0!r}, {units}", abs(ds), least=0.0)
+    return ds
+
+
 def gas_entropy_change(spec: FluctuationSpec, units: UnitSystem = NATURAL_UNITS) -> float:
     """k N ln(V/V0); nonpositive for a contraction (V <= V0)."""
-    return units.k * spec.n_components * math.log(spec.volume_ratio)
+    return _entropy_change(spec.n_components, spec.volume_v, spec.volume_v0, units)
 
 
 def radiation_entropy_change(
@@ -110,7 +117,7 @@ def radiation_entropy_change(
     h_nu = require_positive(f"h * frequency of {units}", units.h * frequency)
     n = require_positive("N = energy / (h * frequency)", energy / h_nu, least=0.0)
     v, v0 = require_positive("volume_v", volume_v), require_positive("volume_v0", volume_v0)
-    return units.k * n * (math.log(v) - math.log(v0))  # no ratio to overflow
+    return _entropy_change(n, v, v0, units)
 
 
 def fluctuation_probability(spec: FluctuationSpec) -> float:

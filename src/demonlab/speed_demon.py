@@ -120,9 +120,13 @@ def information_ledger(
     same amount, because both the thermal and the post-probe packets are
     minimum-uncertainty. Nothing usable for sorting remains.
     """
+    return _ledger(gas, probe, post_measurement_spreads(gas, probe, units), units)
+
+
+def _ledger(gas: GasSpec, probe: ProbeSpec, post: GaussianState, units: UnitSystem) -> dict:
+    """information_ledger given the post-probe spreads, so a caller that has them warns once."""
     p_rms = rms_momentum(gas, units)
     pre = GaussianState(sigma_x=units.h / (4.0 * math.pi * p_rms), sigma_p=p_rms)
-    post = post_measurement_spreads(gas, probe, units)
     # gaussian_information takes the log of 2 pi sigma^2 e: each must be a normal float
     for s in (pre.sigma_x, pre.sigma_p, post.sigma_x, post.sigma_p):
         require_positive(
@@ -211,6 +215,6 @@ def simulate_sorting(
         empirical_passage=n_passed / n_attempts,
         analytic_passage=math.erf(d / (2.0 * math.sqrt(2.0) * spreads.sigma_x)),
         injected_energy=n_attempts * units.h * probe.nu_low,
-        **information_ledger(gas, probe, units),
+        **_ledger(gas, probe, spreads, units),
         seed=rng_seed,
     )

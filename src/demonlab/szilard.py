@@ -26,7 +26,6 @@ States are immutable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -96,16 +95,17 @@ def initial_state(
 
 def insert_partition(
     state: MoleculeGaussian,
-    rng_seed: int,
+    rng_seed: int | np.random.Generator,
     units: UnitSystem = NATURAL_UNITS,
 ) -> tuple[MoleculeGaussian, float]:
     """Insert the central partition: halve sigma_x, double sigma_p.
 
-    Returns the localized state (left or right with probability 1/2 each,
-    seeded) and the entropy cost (k/2) ln(sigma_p_f^2 / sigma_p_i^2) =
-    k ln(sigma_p_f / sigma_p_i) = k ln 2, taken from the spread ratio so no
-    square leaves float range. The cost is computed before the side is
-    drawn: it cannot depend on the outcome or on anyone learning it.
+    Returns the localized state and the entropy cost (k/2) ln(sigma_p_f^2 /
+    sigma_p_i^2) = k ln(sigma_p_f / sigma_p_i) = k ln 2, taken from the spread
+    ratio so no square leaves float range. The cost is computed before the
+    side is drawn: it cannot depend on the outcome or on anyone learning it.
+    The side is left when default_rng(rng_seed).random() < 1/2, else right;
+    rng_seed is anything default_rng takes, and a Generator advances one draw.
     """
     if state.side != SIDE_WHOLE:
         raise InvalidStateError("partition already inserted")
@@ -179,62 +179,12 @@ class EntropyLedger:
 
 #: Largest n_cycles run_cycle accepts: it bounds the 2 * n_cycles rows of a ledger's report.
 MAX_CYCLES = 10**6
-_M32 = 0xFFFFFFFF
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
-def _hash32(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence hash step on uint32 words; const stays a Python int so nothing warns."""
-    const_next = (const * mult) & _M32
-    value = (value ^ const) * const_next
-    return value ^ (value >> 16), const_next
-
-
-def _mulhi64(x: np.ndarray, y: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products x * y, from 32-bit halves."""
-    x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
-    p01, p10 = x0 * y1, x1 * y0
-    mid = ((x0 * y0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _first_draw_below_half(seeds: np.ndarray) -> np.ndarray:
-    """np.random.default_rng(s).random() < 0.5 for each seed 0 <= s < 2**64, bit for bit.
-
-    SeedSequence(s) hashes the seed's 32-bit words (low, high) into its pool
-    and generate_state(4, uint64) seeds PCG64; random() < 0.5 when the top
-    bit of PCG64's first XSL-RR output is clear.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    pool = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    pool += [np.zeros(seeds.size, np.uint32)] * 2
-    const = 0x43B0D7E5
-    for i in range(4):
-        pool[i], const = _hash32(pool[i], const, 0x931E8875)
-    for src, dst in itertools.permutations(range(4), 2):
-        hashed, const = _hash32(pool[src], const, 0x931E8875)
-        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
-        pool[dst] = mixed ^ (mixed >> 16)
-    words, const = [], 0x8B51F9DD
-    for i in range(8):
-        word, const = _hash32(pool[i % 4], const, 0x58F38DED)
-        words.append(word)
-    s_hi, s_lo, q_hi, q_lo = np.stack(words, axis=1).astype("<u4").view("<u8").T
-    # x = x * m + inc from x = s, with inc = 2q + 1: m = 1 and then the multiplier
-    # seed PCG64 (srandom), and one more multiplier step precedes the first output
-    inc_hi, inc_lo, hi, lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1, s_hi, s_lo
-    for m_hi, m_lo in ((0, 1), (_PCG_MULT_HI, _PCG_MULT_LO), (_PCG_MULT_HI, _PCG_MULT_LO)):
-        hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
-        lo = lo * m_lo + inc_lo
-        hi += inc_hi + (lo < inc_lo)
-    xored, rot = hi ^ lo, hi >> 58
-    return (xored >> ((rot + 63) & 63)) & 1 == 0  # top bit of rotr(xored, rot)
 
 
 def run_cycle(
     box: EngineBox,
     n_cycles: int,
-    rng_seed: int,
+    rng_seed: int | np.random.Generator,
     units: UnitSystem = NATURAL_UNITS,
     convention: str = CONVENTION_BOX_SCALE,
 ) -> EntropyLedger:
@@ -244,17 +194,16 @@ def run_cycle(
     -k ln 2 to the bath during the expansion that extracts kT ln 2 of work,
     so the universe's entropy change is nonnegative after every entry and
     exactly zero at the end of every cycle. One insertion and one expansion
-    price every cycle. The sides come from one pass over the seeds that
-    default_rng(rng_seed) draws, one per cycle; each is the side that
-    insert_partition draws from default_rng(that seed).
+    price every cycle. The sides are those of the per-cycle loop that hands one
+    default_rng(rng_seed) Generator to every insert_partition call: cycle i
+    goes left when that Generator's i-th random() is below 1/2.
     """
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise InvalidInputError(f"n_cycles must be in [1, {MAX_CYCLES}], got {n_cycles!r}")
-    side_seeds = np.random.default_rng(rng_seed).integers(0, 2**63 - 1, size=n_cycles)
-    state = initial_state(box, units, convention)
-    inserted, ds_insert = insert_partition(state, int(side_seeds[0]), units)
+    rng = np.random.default_rng(rng_seed)
+    inserted, ds_insert = insert_partition(initial_state(box, units, convention), rng, units)
     work, ds_bath, _ = extract_work(inserted, box, units)
     require_positive(f"n_cycles * kT ln 2 of {box} and {units}", n_cycles * work, least=0.0)
-    left = _first_draw_below_half(side_seeds)
+    left = np.append(inserted.side == SIDE_LEFT, rng.random(n_cycles - 1) < 0.5)
     left.setflags(write=False)
     return EntropyLedger(ds_insert, ds_bath, work, left)

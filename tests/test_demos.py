@@ -1,6 +1,8 @@
-"""The demos are a public contract: each one runs clean with warnings as errors."""
+"""The demos and the README example are a public contract: each runs clean with
+warnings as errors."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,23 @@ import pytest
 
 import demonlab
 
-DEMOS = sorted(Path(__file__).parents[1].joinpath("demos").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted(ROOT.joinpath("demos").glob("*.py"))
+FLOAT = r"[-+]?\d+\.\d*(?:e[-+]?\d+)?"
+
+
+def run_clean(*args: str) -> str:
+    """Run python -W error with args on the package's source; return its stdout."""
+    env = dict(os.environ)
+    src = str(Path(demonlab.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    return result.stdout
 
 
 def test_all_demos_found():
@@ -18,12 +36,14 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_clean(demo):
-    env = dict(os.environ)
-    src = str(Path(demonlab.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ""
+    run_clean(str(demo))
+
+
+def test_readme_library_example_prints_what_it_says():
+    (example,) = re.findall(r"```python\n(.*?)```", ROOT.joinpath("README.md").read_text(), re.S)
+    (claim,) = re.findall(r"print\(p\.p\) +# (\[.*\])", example)
+    printed = run_clean("-c", example).splitlines()[0]
+    got = [float(x) for x in re.findall(FLOAT, printed)]
+    want = [float(x) for x in re.findall(FLOAT, claim)]
+    assert len(got) == len(want) == 2
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-5

@@ -42,6 +42,24 @@ class TestGasEntropyChange:
         spec = fl.FluctuationSpec(3, 2.0, 1.0, allow_expansion=True)
         assert fl.gas_entropy_change(spec) == pytest.approx(3.0 * math.log(2.0), rel=1e-14)
 
+    def test_volume_ratio_beyond_float_range_stays_finite(self):
+        # V / V0 underflows to 0, ln V - ln V0 does not
+        value = fl.gas_entropy_change(fl.FluctuationSpec(2, 1e-300, 1e300))
+        assert value == pytest.approx(-1200.0 * math.log(10.0), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "change, inputs",
+        [
+            (lambda: fl.gas_entropy_change(fl.FluctuationSpec(1e308, 1e-300, 1.0)), "1e+308"),
+            (lambda: fl.radiation_entropy_change(1e307, 1.0, 1e-300, 1.0), "1e+307"),
+        ],
+        ids=["gas", "radiation"],
+    )
+    def test_overflowing_change_names_the_inputs(self, change, inputs):
+        # each factor is finite, k N ln(V/V0) is not
+        with pytest.raises(InvalidInputError, match=re.escape(f"N={inputs}, V=1e-300, V0=1.0")):
+            change()
+
 
 class TestRadiationEntropyChange:
     def test_reduces_to_gas_formula(self):

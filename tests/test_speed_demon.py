@@ -1,12 +1,14 @@
 """Speed-sorting demon: thermal momentum, door bound, probe trade-off, MC."""
 
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from wavefns import is_minimum_uncertainty
 
+from demonlab import cli
 from demonlab import speed_demon as sd
 from demonlab.errors import InvalidInputError
 from demonlab.units import SI_UNITS, UnitSystem
@@ -190,6 +192,23 @@ class TestSimulateSorting:
         assert doc["n_attempts"] == 5_000
         assert doc["sorting_infeasible"] is True
         assert report.verdicts() == {"sorting_infeasible": True, "mc_within_3sigma": True}
+
+    def test_a_hard_probe_warns_once_per_call(self, capsys):
+        gas, probe = sd.GasSpec(1.0, 1.0), sd.ProbeSpec(nu_low=2.0)
+        calls = [
+            lambda: sd.post_measurement_spreads(gas, probe),
+            lambda: sd.sorting_feasibility(gas, probe),
+            lambda: sd.information_ledger(gas, probe),
+            lambda: sd.simulate_sorting(gas, probe, sd.SortingGeometry(1.0), 10, rng_seed=0),
+            lambda: cli.main(["speed-demon", "--ratio", "0.5"]),
+        ]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [str(w.message) for w in caught] == [
+                "probe energy h*nu_low >= kT: outside the gentle-probe regime"
+            ]
 
     def test_determinism(self):
         gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)

@@ -22,7 +22,8 @@ def make_box(length=1.0, temperature=1.0, mass=1.0):
 
 
 def reference_run_cycle(box, n_cycles, rng_seed, units, convention):
-    """One seeded generator, one insertion and one expansion per cycle, in order.
+    """One insertion and one expansion per cycle, in order, every insertion
+    drawing its side from one shared default_rng(rng_seed) Generator.
 
     Returns the sides, the ledger rows (cycle, label, dS, dW, running dS), and
     the net entropy and work, each summed entry by entry.
@@ -31,7 +32,7 @@ def reference_run_cycle(box, n_cycles, rng_seed, units, convention):
     rng = np.random.default_rng(rng_seed)
     state = szilard.initial_state(box, units, convention)
     for cycle in range(1, n_cycles + 1):
-        state, ds_insert = szilard.insert_partition(state, int(rng.integers(0, 2**63 - 1)), units)
+        state, ds_insert = szilard.insert_partition(state, rng, units)
         sides.append(state.side)
         net_entropy += ds_insert
         rows.append((cycle, "insertion", ds_insert, 0.0, net_entropy))
@@ -241,7 +242,7 @@ class TestRunCycle:
     @pytest.mark.parametrize("convention", szilard.CONVENTIONS)
     def test_equals_the_per_cycle_loop(self, convention, units):
         box = make_box(length=0.7, temperature=2.5)
-        for seed in (0, 21):
+        for seed in (0, 5, 21):
             got = szilard.run_cycle(box, 3000, seed, units, convention)
             sides, rows, net_entropy, net_work = reference_run_cycle(
                 box, 3000, seed, units, convention
@@ -251,6 +252,25 @@ class TestRunCycle:
             assert got.net_entropy() == net_entropy
             assert got.net_work() == net_work
 
+    def test_one_cycle_is_one_insertion(self):
+        box = make_box()
+        for seed in range(100):
+            inserted, _ = szilard.insert_partition(szilard.initial_state(box), seed)
+            assert szilard.run_cycle(box, 1, seed).sides == [inserted.side]
+
+    @pytest.mark.parametrize("n_cycles", [1, 2, 1000])
+    def test_sides_are_the_first_draws_below_half(self, n_cycles):
+        for seed in (0, 5, 2**63 - 2):
+            want = np.random.default_rng(seed).random(n_cycles) < 0.5
+            got = szilard.run_cycle(make_box(), n_cycles, seed).left
+            assert got.dtype == bool
+            assert got.tolist() == want.tolist()
+
+    def test_a_generator_advances_one_draw_per_cycle(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        ledger = szilard.run_cycle(make_box(), 40, rng)
+        assert ledger.left.tolist() == (twin.random(40) < 0.5).tolist()
+        assert rng.random() == twin.random()
 
     def test_work_bounded_by_kT_ln2_per_cycle(self):
         units = UnitSystem(k=2.0)
@@ -259,18 +279,6 @@ class TestRunCycle:
         per_cycle = ledger.net_work() / 10
         assert per_cycle <= units.k * 3.0 * LN2 * (1 + 1e-14)
         assert per_cycle == pytest.approx(units.k * 3.0 * LN2, rel=1e-14)
-
-
-class TestSideMap:
-    def test_equals_the_first_draw_of_each_seed(self):
-        generated = np.random.default_rng(2024).integers(0, 2**63 - 1, size=10_000)
-        edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63 - 2], dtype=np.uint64)
-        seeds = np.concatenate([generated.astype(np.uint64), edges])
-        want = [np.random.default_rng(int(s)).random() < 0.5 for s in seeds]
-        got = szilard._first_draw_below_half(seeds)
-        assert got.dtype == bool
-        assert got.tolist() == want
-        assert 0.45 < got.mean() < 0.55
 
 
 class TestLedgerEmission:
