@@ -15,7 +15,7 @@ from demonlab.units import UnitSystem
 units = UnitSystem(h=2.0 * math.pi)  # hbar = 1
 channel = fgr.DecayChannel(matrix_element_sq=0.05, density_of_states=1.2)
 gamma = fgr.golden_rule_rate(channel, units)
-level = fgr.ExcitedLevel.from_gamma(gamma, units)
+level = fgr.ExcitedLevel(gamma, units)
 print(f"decay rate gamma   = {gamma:.6f}")
 print(f"lifetime 1/gamma   = {fgr.lifetime(level):.6f}")
 print(f"level width hbar*gamma = {level.width:.6f}")

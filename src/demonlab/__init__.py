@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .units import NATURAL_UNITS, SI_UNITS, UnitSystem  # noqa: F401
 from .errors import (  # noqa: F401
     DemonlabError,
-    DivergenceError,
     InvalidInputError,
     InvalidStateError,
     NonUniqueEquilibriumError,

@@ -27,6 +27,7 @@ STEP_LAWS = (STEP_PLUS_MINUS_ONE, STEP_GAUSSIAN)
 #: Below this step index the +-1 walk is visibly discrete, not Gaussian.
 CLT_MIN_STEP = 25
 HISTOGRAM_MIN_WALKERS = 100_000
+HISTOGRAM_BINS = 20
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,8 @@ class HistogramReport:
     passes: bool
 
 
-def histogram_vs_gaussian(spec: WalkSpec, t: int, n_bins: int = 20) -> HistogramReport:
-    """Compare the step-t position histogram with N(0, t * var_step).
+def histogram_vs_gaussian(spec: WalkSpec, t: int) -> HistogramReport:
+    """Compare the step-t position histogram with N(0, t * var_step) in HISTOGRAM_BINS bins.
 
     Requires t >= CLT_MIN_STEP (the two-point distribution of a short +-1
     walk is nothing like a Gaussian) and n_walkers >= 100000 so each bin
@@ -183,8 +184,6 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int, n_bins: int = 20) -> Histogram
         raise InvalidInputError(
             f"insufficient walkers: need >= {HISTOGRAM_MIN_WALKERS} for the histogram"
         )
-    if n_bins < 2:
-        raise InvalidInputError("n_bins must be >= 2")
 
     x = next(islice(_walk(spec), t - 1, None))
     sigma = math.sqrt(t * spec.step_variance)
@@ -194,10 +193,10 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int, n_bins: int = 20) -> Histogram
         # occupied sites are -t, -t+2, ..., t; keep those inside the window
         sites = np.arange(-t, t + 1, 2, dtype=float)
         sites = sites[np.abs(sites) <= window]
-        groups = np.array_split(sites, n_bins)
+        groups = np.array_split(sites, HISTOGRAM_BINS)
         edges = np.array([g[0] - 1.0 for g in groups] + [groups[-1][-1] + 1.0])
     else:
-        edges = np.linspace(-window, window, n_bins + 1)
+        edges = np.linspace(-window, window, HISTOGRAM_BINS + 1)
 
     observed, _ = np.histogram(x, bins=edges.astype(x.dtype))  # +-1 edges are whole numbers
     cdf = [0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (edges / sigma).tolist()]

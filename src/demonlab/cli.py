@@ -128,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"demonlab {__version__}")
     sub = parser.add_subparsers(dest="scenario", metavar="scenario")
-    for name, table in SCENARIO_PARAMS.items():
+    for name in SCENARIO_PARAMS:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", default=None, help="flat key = value config file")
-        for key, (typ, _default) in {**COMMON_PARAMS, **table}.items():
+        for key, (typ, _default) in _param_table(name).items():
             flag = "--" + key.replace("_", "-")
             if typ is bool:
                 sp.add_argument(flag, dest=key, action="store_const", const=True, default=None)
@@ -235,7 +235,8 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         p0 = markov.ProbDist(draw / draw.sum())
 
     t_max = params["t_max"] if params["t_max"] > 0 else 25.0 / markov.spectral_gap(rates)
-    grid = np.linspace(0.0, require_positive("t_max", t_max), max(params["samples"], 2))
+    samples = require_positive("samples", params["samples"], least=2)
+    grid = np.linspace(0.0, require_positive("t_max", t_max), samples)
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {
         "n_states": n,

@@ -15,16 +15,6 @@ class InvalidStateError(DemonlabError):
     """An operation was applied to a scenario state that cannot accept it."""
 
 
-class DivergenceError(DemonlabError):
-    """A formula was evaluated at a point where it is genuinely singular.
-
-    Raised, e.g., by the entropy-production rate when a state with zero
-    probability still has transitions attached: the logarithmic divergence
-    is physical, so the caller must regularize (clamp probabilities to a
-    small floor) rather than have it silently masked here.
-    """
-
-
 class NonUniqueEquilibriumError(DemonlabError):
     """The transition graph is disconnected, so no unique equilibrium exists."""
 

@@ -6,9 +6,9 @@ density of final states. Decay itself is memoryless: waiting times are
 exponential with the total rate, sampled here by inverse CDF from a seeded
 64-bit PRNG so every curve is reproducible bit for bit.
 
-The level width is stored under the convention width = hbar * gamma, i.e.
+A level's width follows the convention width = hbar * gamma, i.e.
 lifetime = hbar / width. Conventions placing the 2*pi differently exist;
-this module checks only the one declared here.
+this module uses only the one declared here.
 """
 
 from __future__ import annotations
@@ -39,23 +39,17 @@ class DecayChannel:
 
 @dataclass(frozen=True)
 class ExcitedLevel:
-    """Total decay rate gamma and level width; width must equal hbar*gamma."""
+    """Total decay rate gamma of a level, whose width is hbar * gamma."""
 
     gamma: float
-    width: float
     units: UnitSystem = NATURAL_UNITS
 
     def __post_init__(self) -> None:
         require_positive("gamma", self.gamma)
-        expected = self.units.hbar * self.gamma
-        if abs(self.width - expected) > 1e-12 * expected:
-            raise InvalidInputError(
-                f"width {self.width!r} inconsistent with hbar*gamma = {expected!r}"
-            )
 
-    @classmethod
-    def from_gamma(cls, gamma: float, units: UnitSystem = NATURAL_UNITS) -> "ExcitedLevel":
-        return cls(gamma=gamma, width=units.hbar * gamma, units=units)
+    @property
+    def width(self) -> float:
+        return self.units.hbar * self.gamma
 
 
 def golden_rule_rate(channel: DecayChannel, units: UnitSystem = NATURAL_UNITS) -> float:
@@ -102,11 +96,9 @@ class DecaySample:
         emp = (self.n_samples - idx) / self.n_samples
         return ts, emp, np.exp(-self.gamma * ts)
 
-    def to_rows(self, ts: Sequence[float] | None = None) -> list[tuple[float, float, float]]:
-        """Curve rows; by default at 51 times from 0 to 5 lifetimes."""
-        if ts is None:
-            ts = np.linspace(0.0, 5.0 / self.gamma, 51)
-        t, emp, ana = self.curve(ts)
+    def to_rows(self) -> list[tuple[float, float, float]]:
+        """Curve rows at 51 times from 0 to 5 lifetimes."""
+        t, emp, ana = self.curve(np.linspace(0.0, 5.0 / self.gamma, 51))
         return list(zip(t.tolist(), emp.tolist(), ana.tolist()))
 
     @cached_property

@@ -41,35 +41,27 @@ _MC_CHUNK = 200_000
 
 @dataclass(frozen=True)
 class FluctuationSpec:
-    """Component count and the volume pair (V, V0).
+    """Component count and the volume pair (V, V0), with V <= V0.
 
     n_components may be non-integral (e.g. E/(h nu) for radiation); the
-    Monte-Carlo oracle rounds it and records nothing further. V > V0 is
-    permitted only when constructed with allow_expansion=True.
+    Monte-Carlo oracle rounds it. V > V0 is refused: dS would change sign
+    and (V/V0)^N would exceed 1.
     """
 
     n_components: float
     volume_v: float
     volume_v0: float
-    allow_expansion: bool = False
-    rounding_remainder: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive("n_components", self.n_components, least=1.0)
         require_positive("volume_v", self.volume_v)
         require_positive("volume_v0", self.volume_v0)
-        if self.volume_v > self.volume_v0 and not self.allow_expansion:
-            raise InvalidInputError(
-                "V > V0 requires allow_expansion=True (sign of dS flips)"
-            )
+        if self.volume_v > self.volume_v0:
+            raise InvalidInputError("V > V0 is refused: the sign of dS flips")
 
     @property
     def volume_ratio(self) -> float:
         return self.volume_v / self.volume_v0
-
-    @property
-    def n_int(self) -> int:
-        return int(round(self.n_components))
 
     @classmethod
     def from_radiation(
@@ -79,18 +71,11 @@ class FluctuationSpec:
         volume_v: float,
         volume_v0: float,
         units: UnitSystem = NATURAL_UNITS,
-        allow_expansion: bool = False,
     ) -> "FluctuationSpec":
-        """Spec with N = E / (h nu); the integer-rounding remainder is recorded."""
+        """Spec with N = E / (h nu)."""
         h_nu = require_positive(f"h * frequency of {units}", units.h * frequency)
         n = require_positive("N = energy / (h * frequency)", energy / h_nu, least=1.0)
-        return cls(
-            n_components=n,
-            volume_v=volume_v,
-            volume_v0=volume_v0,
-            allow_expansion=allow_expansion,
-            rounding_remainder=n - round(n),
-        )
+        return cls(n_components=n, volume_v=volume_v, volume_v0=volume_v0)
 
 
 def _entropy_change(n: float, v: float, v0: float, units: UnitSystem) -> float:
@@ -122,8 +107,6 @@ def radiation_entropy_change(
 
 def fluctuation_probability(spec: FluctuationSpec) -> float:
     """(V/V0)^N, the chance all N independent components sit inside V."""
-    if spec.volume_ratio > 1.0:
-        raise InvalidInputError("fluctuation probability requires V <= V0")
     return spec.volume_ratio**spec.n_components
 
 
@@ -137,13 +120,11 @@ def monte_carlo_fluctuation(
     V/V0 (a uniform draw below the ratio, which is the same event in any
     dimension).
     """
-    n = spec.n_int
+    n = round(spec.n_components)
     if n > MC_MAX_COMPONENTS:
         raise InvalidInputError(f"Monte-Carlo oracle limited to N <= {MC_MAX_COMPONENTS}")
     if n_trials < MC_MIN_TRIALS:
         raise InvalidInputError(f"need at least {MC_MIN_TRIALS} trials")
-    if spec.volume_ratio > 1.0:
-        raise InvalidInputError("Monte-Carlo fluctuation requires V <= V0")
     ratio = spec.volume_ratio
     rng = np.random.default_rng(rng_seed)
     hits = 0
@@ -204,7 +185,7 @@ def fluctuation_report(
     units: UnitSystem = NATURAL_UNITS,
 ) -> tuple[dict[str, Any], dict[str, bool]]:
     """Derived values and verdicts: exp(dS/k) = W within 1e-12, the Monte-Carlo
-    frequency within 3 sigma of W (if n_trials > 0), and a positive Brillouin
+    frequency within 3 sigma of W (if n_trials != 0), and a positive Brillouin
     net balance (if a BrillouinSpec is given)."""
     ds = gas_entropy_change(spec, units)
     prob = fluctuation_probability(spec)
@@ -217,7 +198,7 @@ def fluctuation_report(
         "identity_gap": gap,
     }
     verdicts = {"identity_ok": gap <= 1e-12}
-    if n_trials > 0:
+    if n_trials != 0:
         emp = derived["mc_probability"] = monte_carlo_fluctuation(spec, n_trials, rng_seed)
         tol = derived["mc_tol_3sigma"] = binomial_3sigma(prob, n_trials)
         verdicts["mc_within_3sigma"] = abs(emp - prob) <= tol

@@ -30,17 +30,11 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import (
-    DivergenceError,
-    InvalidInputError,
-    NonUniqueEquilibriumError,
-    NumericError,
-    require_positive,
-)
+from .errors import InvalidInputError, NonUniqueEquilibriumError, NumericError, require_positive
 from .units import NATURAL_UNITS, UnitSystem
 
-#: States with probability at or below this floor make the entropy-production
-#: formula diverge; callers must clamp to >= this value first.
+#: Zero-probability states make the entropy-production formula diverge, so
+#: verify_h_theorem floors its samples at this value before evaluating it.
 PROB_FLOOR = 1e-15
 
 _PROB_SUM_TOL = 1e-12
@@ -145,9 +139,6 @@ class ProbDist:
     def uniform(cls, n: int) -> "ProbDist":
         return cls(np.full(n, 1.0 / n))
 
-    def is_interior(self, floor: float = PROB_FLOOR) -> bool:
-        return bool(np.all(self.p > floor))
-
 
 def build_master_operator(rates: RateMatrix) -> MasterOperator:
     """Assemble L from the rates; each diagonal entry is minus its column sum.
@@ -227,30 +218,6 @@ def shannon_entropy(p: ProbDist, units: UnitSystem = NATURAL_UNITS) -> float:
 def max_entropy(n: int, units: UnitSystem = NATURAL_UNITS) -> float:
     """k ln n, the uniform-distribution ceiling on n states."""
     return units.k * math.log(n)
-
-
-def entropy_production_rate(
-    p: ProbDist, rates: RateMatrix, units: UnitSystem = NATURAL_UNITS
-) -> float:
-    """dS/dt along the relaxation: (k/2) sum_ij r_ij (ln p_j - ln p_i)(p_j - p_i).
-
-    Both factors always share a sign, so the result is nonnegative; it is
-    evaluated in the equal generator form -k sum_i ln p_i (L p)_i. States
-    with p_i = 0 that have a nonzero rate attached make the sum diverge;
-    that is a real singularity of the formula, so it raises DivergenceError
-    instead of returning a clamped value.
-    """
-    if p.n != rates.n:
-        raise InvalidInputError("dimension mismatch between distribution and rates")
-    zero = p.p <= 0.0
-    if np.any(rates.rates[zero, :] > 0.0):
-        raise DivergenceError(
-            "entropy-production rate diverges: zero-probability state has "
-            f"nonzero rates attached (clamp probabilities to >= {PROB_FLOOR})"
-        )
-    # A zero-probability state without rates has a zero row in L, so its
-    # stand-in log contributes nothing.
-    return float(_production_rates(p.p, build_master_operator(rates).matrix, units.k))
 
 
 def equilibrium_distribution(rates: RateMatrix) -> ProbDist:
@@ -334,7 +301,7 @@ def verify_h_theorem(
         raise InvalidInputError("t_grid must contain at least one time")
     if np.any(np.diff(ts) < 0):
         raise InvalidInputError("t_grid must be nondecreasing")
-    if not p0.is_interior():
+    if not np.all(p0.p > PROB_FLOOR):
         raise InvalidInputError(
             f"p0 must be interior (all entries > {PROB_FLOOR}) for the H-theorem check"
         )
@@ -362,22 +329,17 @@ def verify_h_theorem(
     )
 
 
-def random_symmetric_rates(
-    n: int,
-    rng: np.random.Generator,
-    low: float = 0.5,
-    high: float = 2.0,
-    extra_edge_prob: float = 0.3,
-) -> RateMatrix:
-    """Random connected symmetric rates: spanning tree plus optional extra edges."""
+def random_symmetric_rates(n: int, rng: np.random.Generator) -> RateMatrix:
+    """Random connected symmetric rates: a spanning tree plus each other edge with
+    probability 0.3, every rate uniform on [0.5, 2)."""
     if n < 2:
         raise InvalidInputError("need at least 2 states")
     # State order[i] attaches to a uniformly chosen earlier state of the order.
     order = rng.permutation(n)
-    edges = np.triu(rng.random((n, n)) < extra_edge_prob, 1)
+    edges = np.triu(rng.random((n, n)) < 0.3, 1)
     edges[order[1:], order[rng.integers(0, np.arange(1, n))]] = True
     edges = np.triu(edges | edges.T, 1)
-    upper = np.where(edges, rng.uniform(low, high, (n, n)), 0.0)
+    upper = np.where(edges, rng.uniform(0.5, 2.0, (n, n)), 0.0)
     return RateMatrix(upper + upper.T)
 
 

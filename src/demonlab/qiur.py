@@ -183,34 +183,21 @@ def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     }
 
 
-def gaussian_packet(
-    sigma_x: float,
-    units: UnitSystem = NATURAL_UNITS,
-    center: float = 0.0,
-    momentum: float = 0.0,
-    n: int = 4096,
-    span: float | None = None,
-) -> Grid:
-    """Sampled Gaussian packet, renormalized on the grid.
-
-    The default span of +-8 sigma_x around the center keeps truncated tail
-    mass near machine epsilon. Pass a larger span to refine the conjugate
-    momentum grid (dp = h / span).
-    """
+def gaussian_packet(sigma_x: float, units: UnitSystem = NATURAL_UNITS, n: int = 4096) -> Grid:
+    """Gaussian packet at rest around x = 0, sampled over +-8 sigma_x and renormalized
+    on the grid; the span keeps truncated tail mass near machine epsilon."""
     require_positive("sigma_x", sigma_x)
     variance = 2.0 * math.pi * (sigma_x * sigma_x)
     require_positive(f"the variance 2 pi sigma_x**2 of sigma_x={sigma_x!r}", variance)
     require_positive(f"1 / hbar of {units}", 1 / max(units.hbar, 5e-324))  # hbar may be 0
-    width = span if span is not None else 16.0 * sigma_x
+    width = 16.0 * sigma_x
     require_positive(f"the squared half span of sigma_x={sigma_x!r}", (width / 2) * (width / 2))
     _require_grid_size(n)
     dx = width / n
-    x0 = center - (n // 2) * dx
+    x0 = -(n // 2) * dx
     xs = x0 + dx * np.arange(n)
-    amps = variance**-0.25 * np.exp(
-        -((xs - center) ** 2) / (4.0 * sigma_x**2)
-        + 1j * momentum * (xs - center) / units.hbar
-    )
+    # exp of a complex exponent, not a real exp cast to complex: the two differ in the last bits
+    amps = variance**-0.25 * np.exp(-(xs**2) / (4.0 * sigma_x**2) + 0j)
     return _normalized("packet", x0, dx, amps)
 
 

@@ -64,7 +64,6 @@ class MoleculeGaussian:
 
     state: GaussianState
     side: str
-    box_length: float
     convention: str = CONVENTION_BOX_SCALE
 
     def __post_init__(self) -> None:
@@ -72,11 +71,6 @@ class MoleculeGaussian:
             raise InvalidInputError(f"side must be one of {SIDES}, got {self.side!r}")
         if self.convention not in CONVENTIONS:
             raise InvalidInputError(f"convention must be one of {CONVENTIONS}")
-        accessible = self.box_length if self.side == SIDE_WHOLE else self.box_length / 2.0
-        if self.state.sigma_x > accessible * (1.0 + 1e-12):
-            raise InvalidInputError(
-                f"sigma_x = {self.state.sigma_x!r} exceeds accessible region {accessible!r}"
-            )
 
 
 def initial_state(
@@ -90,7 +84,7 @@ def initial_state(
     # insertion doubles sigma_p: the doubled spread is positive and finite only if sigma_p is
     require_positive(f"2 sigma_p of length_L={length!r} and {units}", 2.0 * sigma_p)
     # MoleculeGaussian refuses an unknown convention
-    return MoleculeGaussian(GaussianState(length, sigma_p), SIDE_WHOLE, length, convention)
+    return MoleculeGaussian(GaussianState(length, sigma_p), SIDE_WHOLE, convention)
 
 
 def insert_partition(
@@ -161,8 +155,8 @@ class EntropyLedger:
     def net_work(self) -> float:
         return float(np.cumsum(np.full(self.left.size, self.work))[-1:].sum())
 
-    def prefix_nonnegative(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(self.cumulative_entropy() >= -tol))
+    def prefix_nonnegative(self) -> bool:
+        return bool(np.all(self.cumulative_entropy() >= -1e-12))
 
     def to_rows(self) -> list[tuple]:
         steps = (("insertion", self.insertion_dS, 0.0), ("expansion", self.bath_dS, self.work))

@@ -155,6 +155,29 @@ class TestSimulateWalks:
         assert scaled.verdicts()["msd_within_3sigma"] is False
 
 
+    @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
+    @pytest.mark.parametrize("z, inside", [(2.9, True), (3.1, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_final_moments_flip_at_three_standard_errors(self, law, z, inside, sign):
+        n, walkers = 100, 20_000
+        spec = br.WalkSpec(n, walkers, 0, step_law=law, sigma_step=1.5)
+        var = spec.step_variance
+        # Var(x^2) is 2 n (n - 1) for +-1 steps and 2 (n var)^2 for Gaussian ones
+        if law == br.STEP_PLUS_MINUS_ONE:
+            msd_se = pm1_msd_standard_error(n, walkers)
+        else:
+            msd_se = math.sqrt(2.0) * n * var / math.sqrt(walkers)
+        mean_se = math.sqrt(n * var / walkers)
+        times = np.arange(n + 1, dtype=float)
+        msd, mean = var * times, np.zeros(n + 1)
+        msd[-1] += sign * z * msd_se
+        mean[-1] = sign * z * mean_se
+        report = br.DiffusionReport(times, mean, msd, var / 2, var / 2, 1.0, n * var, spec)
+        assert report.verdicts() == {
+            "msd_within_3sigma": inside, "mean_within_3sigma": inside, "msd_fit_linear": True
+        }
+
+
 class TestIntegerWalk:
     """The +-1 walk runs in int64 and must match the float walk bit for bit."""
 

@@ -310,6 +310,30 @@ class TestErrorsAtSource:
         assert lines == ["demonlab qiur: error: grid needs at least 64 points\n"] * 3
 
 
+class TestCounts:
+    def test_einstein_negative_trials_exit_1(self, capsys):
+        assert cli.main(["einstein", "--trials", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "demonlab einstein: error: need at least 10000 trials\n"
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_h_theorem_fewer_than_two_samples_exit_1(self, samples, capsys):
+        assert cli.main(["h-theorem", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"demonlab h-theorem: error: samples must be finite and >= 2, got {samples}\n"
+        )
+
+    def test_h_theorem_samples_every_requested_time(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        argv = ["h-theorem", "--samples", "2", "--format", "csv", "--output", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["samples"] == 2
+        assert len(out.read_text().splitlines()) == 3
+
+
 class TestCost:
     def test_no_scenario_imports_scipy(self, tmp_path):
         # The CLI imports a scenario's module, and numpy, only when it runs;

@@ -1,5 +1,5 @@
 """The demos and the README example are a public contract: each runs clean with
-warnings as errors."""
+warnings as errors, and each demo prints the bytes recorded in demo_output/."""
 
 import os
 import re
@@ -13,6 +13,7 @@ import demonlab
 
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted(ROOT.joinpath("demos").glob("*.py"))
+DEMO_OUTPUT = ROOT.joinpath("tests", "demo_output")
 FLOAT = r"[-+]?\d+\.\d*(?:e[-+]?\d+)?"
 
 
@@ -36,7 +37,7 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_clean(demo):
-    run_clean(str(demo))
+    assert run_clean(str(demo)) == (DEMO_OUTPUT / f"{demo.stem}.stdout").read_text()
 
 
 def test_readme_library_example_prints_what_it_says():

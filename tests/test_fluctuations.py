@@ -36,11 +36,14 @@ class TestGasEntropyChange:
             -2.0 * 10.0 * math.log(2.0), rel=1e-14
         )
 
-    def test_expansion_requires_flag(self):
-        with pytest.raises(InvalidInputError):
-            fl.FluctuationSpec(3, 2.0, 1.0)
-        spec = fl.FluctuationSpec(3, 2.0, 1.0, allow_expansion=True)
-        assert fl.gas_entropy_change(spec) == pytest.approx(3.0 * math.log(2.0), rel=1e-14)
+    def test_expansion_refused(self):
+        for make in (
+            lambda: fl.FluctuationSpec(3, 2.0, 1.0),
+            lambda: fl.FluctuationSpec(3, 1.0 + 2**-52, 1.0),
+            lambda: fl.FluctuationSpec.from_radiation(3.0, 1.0, 2.0, 1.0),
+        ):
+            with pytest.raises(InvalidInputError, match="V > V0"):
+                make()
 
     def test_volume_ratio_beyond_float_range_stays_finite(self):
         # V / V0 underflows to 0, ln V - ln V0 does not
@@ -81,7 +84,6 @@ class TestRadiationEntropyChange:
         units = UnitSystem(h=2.0)
         spec = fl.FluctuationSpec.from_radiation(12.0, 1.5, 0.5, 1.0, units)
         assert spec.n_components == pytest.approx(4.0, rel=1e-14)
-        assert spec.rounding_remainder == pytest.approx(0.0, abs=1e-14)
         direct = fl.radiation_entropy_change(12.0, 1.5, 0.5, 1.0, units)
         assert fl.gas_entropy_change(spec, units) == pytest.approx(direct, rel=1e-13)
 
@@ -224,6 +226,11 @@ class TestFluctuationReport:
         assert derived["probability"] == 0.125
         assert derived["dS"] == pytest.approx(-3.0 * math.log(2.0), rel=1e-15)
         assert verdicts == {"identity_ok": True}
+
+    def test_negative_trials_refused(self):
+        spec = fl.FluctuationSpec(n_components=3.0, volume_v=0.5, volume_v0=1.0)
+        with pytest.raises(InvalidInputError, match="at least 10000 trials"):
+            fl.fluctuation_report(spec, -5, rng_seed=0)
 
     def test_monte_carlo_and_brillouin_checks(self):
         spec = fl.FluctuationSpec(n_components=3.0, volume_v=0.5, volume_v0=1.0)

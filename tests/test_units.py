@@ -42,7 +42,6 @@ class TestErrorTaxonomy:
         for name in (
             "InvalidInputError",
             "InvalidStateError",
-            "DivergenceError",
             "NonUniqueEquilibriumError",
             "NumericError",
         ):
