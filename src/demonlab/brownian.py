@@ -7,13 +7,18 @@ msd = 2 D t with D = var_step / (2 dt), dt = 1 step. The positional
 histogram converges to the Gaussian of variance t * var_step once t is
 deep enough into the central-limit regime. The module needs numpy alone:
 the Gaussian CDF of the few bin edges comes from math.erfc.
+
+The walk is drawn in blocks of ceil(2**16 / W) steps for W walkers, one generator call
+per block. The +-1 walk counts each walker's +1 steps B in int32 (x = 2 B - t), and
+sum x = 2 sum B - W t and sum x^2 = 4 sum B^2 - 4 t sum B + W t^2 are float64 sums of
+whole numbers: exact, so equal to the float walk's bit for bit, while W t^2 < 2**53.
+The steps, and the generator's state after them, are those of rng.integers(0, 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -28,11 +33,16 @@ STEP_LAWS = (STEP_PLUS_MINUS_ONE, STEP_GAUSSIAN)
 CLT_MIN_STEP = 25
 HISTOGRAM_MIN_WALKERS = 100_000
 HISTOGRAM_BINS = 20
+#: Steps drawn per call, over all walkers: a block is ceil(BLOCK_DRAWS / n_walkers) steps.
+BLOCK_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
 class WalkSpec:
     """Ensemble walk parameters; sigma_step applies to the Gaussian law only."""
+
+    #: A larger walk would not fit in memory or time; the +-1 counts are int32.
+    MAX_STEPS = MAX_WALKERS = 10**7
 
     n_steps: int
     n_walkers: int
@@ -41,8 +51,9 @@ class WalkSpec:
     sigma_step: float = 1.0
 
     def __post_init__(self) -> None:
-        require_positive("n_steps", self.n_steps, least=1)
-        require_positive("n_walkers", self.n_walkers, least=1)
+        for name, most in (("n_steps", self.MAX_STEPS), ("n_walkers", self.MAX_WALKERS)):
+            if not 1 <= (value := getattr(self, name)) <= most:
+                raise InvalidInputError(f"{name} must be in [1, {most}], got {value!r}")
         if self.step_law not in STEP_LAWS:
             raise InvalidInputError(f"step_law must be one of {STEP_LAWS}")
         require_positive("sigma_step", self.sigma_step)
@@ -57,33 +68,41 @@ class WalkSpec:
         return 1.0 if self.step_law == STEP_PLUS_MINUS_ONE else self.sigma_step**2
 
 
-def _draw_steps(spec: WalkSpec, rng: np.random.Generator) -> np.ndarray:
-    """One step per walker: float64 Gaussian, or int32 +-1.
-
-    The +-1 steps, and the generator's state after them, are those of rng.integers(0, 2) * 2 - 1:
-    integers(0, 2) takes the top bit of each 32-bit word of PCG64's stream (the low, then the
-    high half of each raw output; a half left over waits in the state). Here the words are read
-    from raw outputs in bulk, at a third of the cost."""
+def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next k steps of every walker, one row each: float64 Gaussian steps, or int32 1 for
+    a +1 step and 0 for a -1 step. A (k, W) normal draw fills in C order, so it equals k row
+    draws. The +-1 steps and the state after them are those of rng.integers(0, 2, size=k * W),
+    which takes the top bit of each 32-bit word of PCG64's stream (the low, then the high half
+    of each raw output; a half left over waits in the state), read here in one raw call."""
     if spec.step_law == STEP_GAUSSIAN:
-        return rng.normal(0.0, spec.sigma_step, size=spec.n_walkers)
-    n, bitgen = spec.n_walkers, rng.bit_generator
-    spare = [bitgen.state["uinteger"]] * bitgen.state["has_uint32"]
-    raw = bitgen.random_raw((n - len(spare) + 1) // 2).astype("<u8", copy=False)
-    words = np.concatenate((np.array(spare, np.uint32), raw.view("<u4")))
-    bitgen.state = {**bitgen.state, "has_uint32": words.size - n, "uinteger": int(words[-1])}
-    steps = (words[:n] >> 31).view(np.int32)
-    steps <<= 1
-    steps -= 1
-    return steps
+        return rng.normal(0.0, spec.sigma_step, size=(k, spec.n_walkers))
+    n, bitgen = k * spec.n_walkers, rng.bit_generator
+    has, spare = bitgen.state["has_uint32"], bitgen.state["uinteger"]
+    words = bitgen.random_raw((n - has + 1) // 2).astype("<u8", copy=False).view("<u4")
+    last = int(words[-1]) if words.size else spare  # the state keeps the last word read
+    bitgen.state = {**bitgen.state, "has_uint32": words.size + has - n, "uinteger": last}
+    steps = np.concatenate((np.array([spare], np.uint32), words[: n - 1])) if has else words[:n]
+    steps >>= 31
+    return steps.view(np.int32).reshape(k, spec.n_walkers)
 
 
-def _walk(spec: WalkSpec) -> Iterator[np.ndarray]:
-    """Seeded positions after each step (int64 for +-1): one array, updated in place."""
+def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
+    """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block), row i
+    the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B, kept
+    in int32 and copied into one buffer that the next block overwrites."""
     rng = np.random.default_rng(spec.rng_seed)
-    x = np.zeros(spec.n_walkers, dtype=float if spec.step_law == STEP_GAUSSIAN else np.int64)
-    for _ in range(spec.n_steps):
-        x += _draw_steps(spec, rng)
-        yield x
+    k = -(-BLOCK_DRAWS // spec.n_walkers)
+    last = np.zeros(spec.n_walkers, dtype=float if spec.step_law == STEP_GAUSSIAN else np.int32)
+    mirror = np.empty((min(k, spec.n_steps), spec.n_walkers))
+    for t0 in range(0, spec.n_steps, k):
+        block = _draw_steps(spec, rng, min(k, spec.n_steps - t0))
+        for row in block:
+            row += last
+            last = row
+        if spec.step_law == STEP_PLUS_MINUS_ONE:
+            np.copyto(mirror[: len(block)], block)
+            block = mirror[: len(block)]
+        yield t0, block
 
 
 @dataclass(frozen=True)
@@ -127,13 +146,19 @@ def simulate_walks(spec: WalkSpec) -> DiffusionReport:
     msd = a + 2 D t over the late-time window t in [10, n_steps] (whole
     range when the walk is shorter than 20 steps).
     """
-    n = spec.n_steps
-    mean, msd = np.zeros(n + 1), np.zeros(n + 1)
-    # x.mean() and np.mean(x * x) to the bit: +-1 sums are exact in int64 as in float64 < 2**53
-    for step, x in enumerate(_walk(spec), start=1):
-        mean[step] = x.sum() / spec.n_walkers
-        msd[step] = (x * x).sum() / spec.n_walkers
+    n, w = spec.n_steps, spec.n_walkers
     times = np.arange(n + 1, dtype=float)
+    sums, squares = np.zeros(n + 1), np.zeros(n + 1)
+    for t0, block in _walk(spec):
+        rows = slice(t0 + 1, t0 + 1 + len(block))
+        sums[rows] = block.sum(axis=1)
+        if spec.step_law == STEP_GAUSSIAN:
+            squares[rows] = (block * block).sum(axis=1)
+        else:  # by BLAS: whole numbers below 2**53 add exactly in any order
+            squares[rows] = (block[:, None, :] @ block[:, :, None]).ravel()
+    if spec.step_law == STEP_PLUS_MINUS_ONE:  # the identities of the module docstring
+        sums, squares = 2.0 * sums - w * times, 4.0 * (squares - times * sums) + w * times * times
+    mean, msd = sums / w, squares / w
 
     t_lo = 10 if n >= 20 else 1
     t_fit, y_fit = times[t_lo:], msd[t_lo:]
@@ -185,11 +210,12 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int) -> HistogramReport:
             f"insufficient walkers: need >= {HISTOGRAM_MIN_WALKERS} for the histogram"
         )
 
-    x = next(islice(_walk(spec), t - 1, None))
+    x = next(block[t - t0 - 1] for t0, block in _walk(spec) if t <= t0 + len(block))
     sigma = math.sqrt(t * spec.step_variance)
     window = 4.0 * sigma
 
     if spec.step_law == STEP_PLUS_MINUS_ONE:
+        x = 2 * x.astype(np.int64) - t  # from the counts of +1 steps
         # occupied sites are -t, -t+2, ..., t; keep those inside the window
         sites = np.arange(-t, t + 1, 2, dtype=float)
         sites = sites[np.abs(sites) <= window]

@@ -269,7 +269,7 @@ def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     if params["input"]:
         psi = qiur.wavefunction_from_csv(params["input"])
     elif params["box_length"] > 0:
-        psi = qiur.box_ground_state(params["box_length"], n=params["grid_n"])
+        psi = qiur.box_ground_state(params["box_length"], n=params["grid_n"], units=units)
     else:
         psi = qiur.gaussian_packet(params["sigma_x"], units, n=params["grid_n"])
     report = qiur.entropy_report(psi, units)

@@ -201,7 +201,7 @@ def gaussian_packet(sigma_x: float, units: UnitSystem = NATURAL_UNITS, n: int = 
     return _normalized("packet", x0, dx, amps)
 
 
-def box_ground_state(length: float, n: int = 8192) -> Grid:
+def box_ground_state(length: float, n: int = 8192, units: UnitSystem = NATURAL_UNITS) -> Grid:
     """Ground-state sine profile of a hard box [0, L], zero-padded around it.
 
     The padding (total span 16 L) refines the momentum grid so the slowly
@@ -213,9 +213,11 @@ def box_ground_state(length: float, n: int = 8192) -> Grid:
     source = f"length = {length!r} on {n} points"
     dx = require_positive(f"the grid spacing of {source}", width / n, least=NORMAL)
     # rho ln rho is summed before the spacing scales it: sum rho = 1/dx with rho
-    # up to 2/L in position, and (h = 1) sum rho = 16 L with rho up to L in momentum
-    for total, peak in ((1 / dx, 2 / length), (width, length)):
-        require_positive(f"sum rho ln rho of {source}", total * (abs(math.log(peak)) + 1))
+    # up to 2/L in position, and sum rho = 16 L / h with rho up to L / h in momentum
+    require_positive(f"sum rho ln rho of {source}", 1 / dx * (abs(math.log(2 / length)) + 1))
+    momentum = f"{source}, the position spacing {dx!r} and {units}"
+    log_peak = math.log(length) - math.log(units.h)
+    require_positive(f"sum rho ln rho of {momentum}", width / units.h * (abs(log_peak) + 1))
     x0 = -(width - length) / 2.0
     xs = x0 + dx * np.arange(n)
     amps = np.where(

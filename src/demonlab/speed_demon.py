@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORMAL, InvalidInputError, require_positive
+from .errors import NORMAL, require_positive
 from .qiur import GaussianState, gaussian_information
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem

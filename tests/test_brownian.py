@@ -50,6 +50,16 @@ class TestWalkSpec:
         with pytest.raises(InvalidInputError):
             br.WalkSpec(n_steps=10, n_walkers=10, rng_seed=0, sigma_step=0.0)
 
+    @pytest.mark.parametrize("field, most", [
+        ("n_steps", br.WalkSpec.MAX_STEPS), ("n_walkers", br.WalkSpec.MAX_WALKERS)
+    ])
+    def test_counts_over_the_limit(self, field, most):
+        assert most == 10**7
+        fields = {"n_steps": 1, "n_walkers": 1, "rng_seed": 0}
+        assert getattr(br.WalkSpec(**{**fields, field: most}), field) == most
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be in \[1, {most}\], got"):
+            br.WalkSpec(**{**fields, field: most + 1})
+
     @pytest.mark.parametrize("sigma", [1e200, 1e76, 1e-155, 1e-170])
     def test_gaussian_sigma_out_of_float_range(self, sigma):
         # n_steps^3 sigma^4 (the fit's squared MSDs) overflows above ~3.66e75
@@ -179,10 +189,17 @@ class TestSimulateWalks:
 
 
 class TestIntegerWalk:
-    """The +-1 walk runs in int64 and must match the float walk bit for bit."""
+    """The block kernel (counts of +1 steps, Gaussian positions) must match the float walk
+    bit for bit; ceil(BLOCK_DRAWS / W) steps fill a block."""
 
     @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
-    @pytest.mark.parametrize("steps, walkers", [(1, 7), (19, 1001), (20, 20001), (300, 4096)])
+    @pytest.mark.parametrize("steps, walkers", [
+        (1, 7), (19, 1001), (20, 20001), (300, 4096),
+        (67, 1001),  # one step past the first block of 66
+        (3, 65537),  # one step a block, the spare 32-bit half alternating
+        (2 * 21846 + 1, 3),  # three blocks, the last of one step
+        (1000, 1),
+    ])
     @pytest.mark.parametrize("seed", [0, 17])
     def test_moments_equal_the_float_walk(self, steps, walkers, law, seed):
         spec = br.WalkSpec(steps, walkers, seed, step_law=law, sigma_step=1.7)
@@ -194,23 +211,56 @@ class TestIntegerWalk:
 
     @pytest.mark.parametrize("walkers", [1, 2, 7, 1001, 4096])
     def test_pm1_steps_and_state_are_those_of_integers(self, walkers):
-        # draws alternate with rng.integers on one generator, so a 32-bit half left
-        # over by either is taken up by the other
+        # draws of k rows alternate with rng.integers on one generator, so a 32-bit
+        # half left over by either is taken up by the other
         spec = br.WalkSpec(n_steps=1, n_walkers=walkers, rng_seed=0)
         ref, rng = np.random.default_rng(8), np.random.default_rng(8)
-        for k in range(6):
-            expected = ref.integers(0, 2, size=walkers) * 2 - 1
-            if k % 2:
-                steps = br._draw_steps(spec, rng)
+        for i, k in enumerate([1, 1, 3, 3, 2, 5]):
+            expected = ref.integers(0, 2, size=k * walkers).reshape(k, walkers)
+            if i % 2:
+                steps = br._draw_steps(spec, rng, k)
+                assert steps.dtype == np.int32 and steps.shape == (k, walkers)
             else:
-                steps = rng.integers(0, 2, size=walkers) * 2 - 1
+                steps = rng.integers(0, 2, size=k * walkers).reshape(k, walkers)
             assert np.array_equal(steps, expected)
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("steps, walkers", [(67, 1001), (4, 65537), (3, 1)])
+    def test_pm1_walk_leaves_the_state_of_integers(self, steps, walkers, monkeypatch):
+        draw, used = br._draw_steps, []
+
+        def recording(spec, rng, k):
+            used.append(rng)
+            return draw(spec, rng, k)
+
+        monkeypatch.setattr(br, "_draw_steps", recording)
+        for _ in br._walk(br.WalkSpec(steps, walkers, 5)):
+            pass
+        ref = np.random.default_rng(5)
+        ref.integers(0, 2, size=steps * walkers)
+        assert len(used) == math.ceil(steps / math.ceil(br.BLOCK_DRAWS / walkers))
+        assert used[-1].bit_generator.state == ref.bit_generator.state
+
     def test_pm1_positions_are_int64(self):
-        positions = list(map(np.copy, br._walk(br.WalkSpec(5, 1001, 3))))
-        assert len(positions) == 5 and all(x.dtype == np.int64 for x in positions)
-        assert all(np.array_equal(x % 2, np.full(1001, t % 2)) for t, x in enumerate(positions, 1))
+        # blocks hold the counts B of +1 steps; x = 2 B - t in int64 is the float walk
+        spec = br.WalkSpec(70, 1001, 3)
+        ref = reference_walk(spec)
+        for t0, block in br._walk(spec):
+            for t, counts in enumerate(block, t0 + 1):
+                x = 2 * counts.astype(np.int64) - t
+                assert np.array_equal(x % 2, np.full(1001, t % 2))
+                assert np.array_equal(x, next(ref))
+        assert t == 70
+
+    @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
+    def test_histogram_at_a_step_inside_a_block(self, law, monkeypatch):
+        # blocks of 11 steps at 100000 walkers: step 40 is the 7th row of the 4th block
+        monkeypatch.setattr(br, "BLOCK_DRAWS", 2**20)
+        spec = br.WalkSpec(60, 100_000, 21, step_law=law, sigma_step=0.8)
+        x = next(islice(reference_walk(spec), 39, None))
+        report = br.histogram_vs_gaussian(spec, 40)
+        observed, _ = np.histogram(x, bins=report.bin_edges)
+        assert np.array_equal(report.observed, observed)
 
     @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
     def test_histogram_counts_the_float_walk_at_step_t(self, law):

@@ -250,6 +250,8 @@ NAMED_ERRORS = {
                        ["temperature_T", "mass_m", "UnitSystem"]),
     "cycles-huge": (["szilard", "--cycles", str(10**20)], ["n_cycles"]),
     "cycles-over-limit": (["szilard", "--cycles", str(szilard.MAX_CYCLES + 1)], ["n_cycles"]),
+    "steps-huge": (["brownian", "--steps", str(10**11)], ["n_steps"]),
+    "walkers-huge": (["brownian", "--steps", "1", "--walkers", str(10**11)], ["n_walkers"]),
 }
 
 
@@ -453,6 +455,14 @@ class TestMomentumGridAndFuzzFindings:
     def test_box_length_1e307_is_still_refused(self, capsys):
         assert cli.main(["qiur", "--box-length", "1e307"]) == 1
         assert "length = 1e+307" in capsys.readouterr().err
+
+    def test_box_guard_uses_the_real_h(self, capsys):
+        # at h = 1 the momentum entropy sum of this box overflows; at h = 10 it is finite
+        assert cli.main(["qiur", "--box-length", "1e305"]) == 1
+        assert "h=1.0" in capsys.readouterr().err
+        assert cli.main(["qiur", "--box-length", "1e305", "--h", "10"]) == 0
+        derived = json.loads(capsys.readouterr().out)["derived"]
+        assert all(math.isfinite(derived[key]) for key in ("I_x", "I_p", "joint", "bound"))
 
 
 SEEDED_SCENARIOS = ["h-theorem", "fgr", "szilard", "speed-demon", "einstein", "brownian"]
