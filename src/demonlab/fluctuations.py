@@ -35,6 +35,8 @@ from .units import NATURAL_UNITS, UnitSystem
 #: event is too rare to resolve at desk-scale trial counts.
 MC_MAX_COMPONENTS = 20
 MC_MIN_TRIALS = 10_000
+#: More trials would not fit in time: N draws each, about 1 s per 10**7 at N = 3.
+MC_MAX_TRIALS = 10**7
 
 _MC_CHUNK = 200_000
 
@@ -125,6 +127,8 @@ def monte_carlo_fluctuation(
         raise InvalidInputError(f"Monte-Carlo oracle limited to N <= {MC_MAX_COMPONENTS}")
     if n_trials < MC_MIN_TRIALS:
         raise InvalidInputError(f"need at least {MC_MIN_TRIALS} trials")
+    if n_trials > MC_MAX_TRIALS:
+        raise InvalidInputError(f"need at most {MC_MAX_TRIALS} trials, got {n_trials!r}")
     ratio = spec.volume_ratio
     rng = np.random.default_rng(rng_seed)
     hits = 0

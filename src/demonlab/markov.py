@@ -39,6 +39,14 @@ PROB_FLOOR = 1e-15
 
 _PROB_SUM_TOL = 1e-12
 
+#: A larger chain would not fit in time: its eigendecomposition costs n^3, 2 s at 2000 states.
+MAX_STATES = 2000
+
+
+def _require_state_count(n: int) -> None:
+    if not 2 <= n <= MAX_STATES:
+        raise InvalidInputError(f"n_states must be in [2, {MAX_STATES}], got {n!r}")
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -55,8 +63,7 @@ class RateMatrix:
         r = np.array(self.rates, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise InvalidInputError(f"rate matrix must be square, got shape {r.shape}")
-        if r.shape[0] < 2:
-            raise InvalidInputError("need at least 2 states")
+        _require_state_count(r.shape[0])
         if not np.all(np.isfinite(r)):
             raise InvalidInputError("rate matrix contains non-finite entries")
         np.fill_diagonal(r, 0.0)
@@ -332,8 +339,7 @@ def verify_h_theorem(
 def random_symmetric_rates(n: int, rng: np.random.Generator) -> RateMatrix:
     """Random connected symmetric rates: a spanning tree plus each other edge with
     probability 0.3, every rate uniform on [0.5, 2)."""
-    if n < 2:
-        raise InvalidInputError("need at least 2 states")
+    _require_state_count(n)
     # State order[i] attaches to a uniformly chosen earlier state of the order.
     order = rng.permutation(n)
     edges = np.triu(rng.random((n, n)) < 0.3, 1)

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import NORMAL, InvalidInputError, require_positive
 from .units import NATURAL_UNITS, UnitSystem
 
-#: Hard floor on grid sizes for entropy work; coarser grids alias badly.
-MIN_GRID_POINTS = 64
+#: Grid sizes for entropy work: coarser grids alias badly, finer ones outgrow memory.
+MIN_GRID_POINTS, MAX_GRID_POINTS = 64, 2**22
 
 _NORM_TOL = 1e-10
 
@@ -41,6 +41,8 @@ _NORM_TOL = 1e-10
 def _require_grid_size(n: int) -> None:
     if n < MIN_GRID_POINTS:
         raise InvalidInputError(f"grid needs at least {MIN_GRID_POINTS} points")
+    if n > MAX_GRID_POINTS:
+        raise InvalidInputError(f"grid needs at most {MAX_GRID_POINTS} points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -104,31 +106,34 @@ class GaussianState:
         require_positive("sigma_p", self.sigma_p)
 
 
-def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
-    """hbar-scaled Fourier transform onto the conjugate grid dp = h/(N*dx).
-
-    The momentum grid is centered (p_k = (k - N//2) * dp) and the scaling
-    makes Parseval exact: sum |phi|^2 dp == sum |psi|^2 dx.
-    """
+def _spectrum(psi: Grid, units: UnitSystem) -> tuple[float, float, np.ndarray]:
+    """(p_0, dp, amplitudes) of to_momentum without its origin phase, which |phi|^2 never sees."""
     hbar = units.hbar
-    n = psi.n
-    m = n // 2
+    m = psi.n // 2
     source = f"{units} and the position spacing {psi.spacing!r}"
-    # a normal dp keeps |phi|^2 <= 1/dp finite; the phase p * origin / hbar forms p * origin,
-    # at most m dp |origin|, and divides by hbar
-    dp = 2.0 * math.pi * hbar / (n * psi.spacing)
+    # a normal dp keeps |phi|^2 <= 1/dp finite; the phase guard bounds p_k origin and 1 / hbar
+    dp = 2.0 * math.pi * hbar / (psi.n * psi.spacing)
     require_positive(f"the momentum spacing of {source}", dp, least=NORMAL)
     require_positive(f"the phase of {source}", max(m * dp * max(1.0, abs(psi.origin)), 1 / hbar))
-    ps = (np.arange(n) - m) * dp
-    j = np.arange(n)
-    pre_phase = np.exp(2j * math.pi * m * j / n)
-    spectrum = np.fft.fft(psi.amps * pre_phase)
-    scale = psi.spacing / math.sqrt(2.0 * math.pi * hbar)
-    amps = scale * np.exp(-1j * ps * psi.origin / hbar) * spectrum
+    spectrum = np.fft.fftshift(np.fft.fft(psi.amps))  # DFT shift theorem: a roll by m centres it
+    spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * hbar)
     # rho ln rho is summed before dp scales it: sum rho = 1/dp, rho up to max |amps|^2 >= 1/(n dp)
-    peak = float(np.abs(amps).max()) ** 2
+    peak = float(np.abs(spectrum).max()) ** 2
     require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
-    return Grid(origin=float(ps[0]), spacing=dp, amps=amps)
+    return -m * dp, dp, spectrum
+
+
+def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
+    """hbar-scaled Fourier transform onto the centred conjugate grid p_k = (k - N//2) * dp,
+    dp = h/(N*dx); the scaling makes Parseval exact: sum |phi|^2 dp == sum |psi|^2 dx."""
+    p0, dp, spectrum = _spectrum(psi, units)
+    # exp(-2 pi i t), p_k origin / hbar = 2 pi t less whole turns; cos and sin beat a complex exp
+    t = (np.arange(psi.n) - psi.n // 2) * (psi.origin / (psi.n * psi.spacing))
+    angle = -2.0 * math.pi * (t - np.rint(t))
+    phase = np.empty(psi.n, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return Grid(origin=p0, spacing=dp, amps=spectrum * phase)
 
 
 def differential_entropy(density: np.ndarray, spacing: float) -> float:
@@ -169,9 +174,9 @@ def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float
 
 def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     """I_x, I_p, their sum, the bound, and whether the bound is satisfied."""
-    phi = to_momentum(psi, units)
+    _, dp, spectrum = _spectrum(psi, units)
     i_x = differential_entropy(psi.density(), psi.spacing)
-    i_p = differential_entropy(phi.density(), phi.spacing)
+    i_p = differential_entropy(np.abs(spectrum) ** 2, dp)
     bound = qiur_bound(units)
     joint = i_x + i_p
     return {
@@ -196,8 +201,8 @@ def gaussian_packet(sigma_x: float, units: UnitSystem = NATURAL_UNITS, n: int = 
     dx = width / n
     x0 = -(n // 2) * dx
     xs = x0 + dx * np.arange(n)
-    # exp of a complex exponent, not a real exp cast to complex: the two differ in the last bits
-    amps = variance**-0.25 * np.exp(-(xs**2) / (4.0 * sigma_x**2) + 0j)
+    # a real exp cast to complex: the exp of a complex exponent costs twice as much
+    amps = (variance**-0.25 * np.exp(-(xs**2) / (4.0 * sigma_x**2))).astype(complex)
     return _normalized("packet", x0, dx, amps)
 
 
@@ -234,9 +239,7 @@ def wavefunction_from_csv(path: str | Path) -> Grid:
     The x column must be uniformly spaced. The amplitudes are always
     renormalized on the grid.
     """
-    xs: list[float] = []
-    res: list[float] = []
-    ims: list[float] = []
+    rows: list[list[float]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -248,20 +251,17 @@ def wavefunction_from_csv(path: str | Path) -> Grid:
                     continue
                 if len(row) < 3:
                     raise ValueError(f"line {reader.line_num} has {len(row)} fields, need 3")
-                xs.append(float(row[0]))
-                res.append(float(row[1]))
-                ims.append(float(row[2]))
+                rows.append([float(value) for value in row[:3]])
     except InvalidInputError:
         raise
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed numeric row: {exc}") from exc
-    x = np.asarray(xs)
-    if x.size < 2:
-        raise InvalidInputError(f"{path}: need at least two samples")
+    x, re, im = np.array(rows).reshape(-1, 3).T
+    _require_grid_size(x.size)
     steps = np.diff(x)
     dx = float(steps[0])
     if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
         raise InvalidInputError(f"{path}: x column must be uniformly increasing")
-    return _normalized(str(path), float(x[0]), dx, np.asarray(res) + 1j * np.asarray(ims))
+    return _normalized(str(path), float(x[0]), dx, re + 1j * im)

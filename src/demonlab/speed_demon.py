@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORMAL, require_positive
+from .errors import NORMAL, InvalidInputError, require_positive
 from .qiur import GaussianState, gaussian_information
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
+
+#: More attempts would not fit in memory or time (8 bytes of position each).
+MAX_ATTEMPTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,8 @@ def simulate_sorting(
     the door (the most demon-friendly placement); passage means
     |x| < d / 2. The analytic probability is erf(d / (2 sqrt(2) sigma_x)).
     """
-    require_positive("n_attempts", n_attempts, least=1)
+    if not 1 <= n_attempts <= MAX_ATTEMPTS:
+        raise InvalidInputError(f"n_attempts must be in [1, {MAX_ATTEMPTS}], got {n_attempts!r}")
     spreads = post_measurement_spreads(gas, probe, units)
     d = geometry.door_size_d
     rng = np.random.default_rng(rng_seed)

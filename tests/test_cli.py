@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from demonlab import cli, szilard
+from demonlab import cli, fgr, fluctuations, markov, qiur, speed_demon, szilard
 from demonlab.cli import UsageError
 
 
@@ -312,7 +312,56 @@ class TestErrorsAtSource:
         assert lines == ["demonlab qiur: error: grid needs at least 64 points\n"] * 3
 
 
+class NumpyTripwire:
+    """Stands in for a module's numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was reached")
+
+
+#: Each scenario's count range: the module that checks it and whose numpy must
+#: not run outside it, the argv without the count, the count's flag, the least and
+#: the largest count, and the name the error line carries.
+COUNT_LIMITS = {
+    "qiur-packet": (qiur, ["qiur"], "--grid-n", qiur.MIN_GRID_POINTS, qiur.MAX_GRID_POINTS,
+                    "grid"),
+    "qiur-box": (qiur, ["qiur", "--box-length", "1"], "--grid-n", qiur.MIN_GRID_POINTS,
+                 qiur.MAX_GRID_POINTS, "grid"),
+    "fgr": (fgr, ["fgr"], "--samples", 1, fgr.MAX_SAMPLES, "n_samples"),
+    "speed-demon": (speed_demon, ["speed-demon"], "--attempts", 1, speed_demon.MAX_ATTEMPTS,
+                    "n_attempts"),
+    "einstein": (fluctuations, ["einstein"], "--trials", fluctuations.MC_MIN_TRIALS,
+                 fluctuations.MC_MAX_TRIALS, "trials"),
+    "h-theorem": (markov, ["h-theorem"], "--states", 2, markov.MAX_STATES, "n_states"),
+}
+
+
 class TestCounts:
+    @pytest.mark.parametrize("module, argv, flag, least, most, name", COUNT_LIMITS.values(),
+                             ids=COUNT_LIMITS)
+    def test_a_count_outside_the_range_ends_before_any_array(
+        self, module, argv, flag, least, most, name, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(module, "np", NumpyTripwire())
+        for count, limit in ((least - 1, least), (most + 1, most)):
+            assert cli.main([*argv, flag, str(count)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: ")
+            assert name in lines[0] and str(limit) in lines[0], lines[0]
+
+    @pytest.mark.parametrize("module, argv, flag, least, most, name", COUNT_LIMITS.values(),
+                             ids=COUNT_LIMITS)
+    def test_the_least_and_largest_counts_pass_the_check(
+        self, module, argv, flag, least, most, name, monkeypatch
+    ):
+        # past the check the scenario's numpy runs, and the tripwire stops it there
+        monkeypatch.setattr(module, "np", NumpyTripwire())
+        for count in (least, most):
+            with pytest.raises(AssertionError, match="numpy"):
+                cli.main([*argv, flag, str(count)])
+
     def test_einstein_negative_trials_exit_1(self, capsys):
         assert cli.main(["einstein", "--trials", "-5"]) == 1
         captured = capsys.readouterr()

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wavefns import box_mode, density_moments, is_minimum_uncertainty, random_mixture, to_position
+from wavefns import (
+    box_mode,
+    density_moments,
+    is_minimum_uncertainty,
+    pre_phase_to_momentum,
+    random_mixture,
+    to_position,
+)
 
 from demonlab import qiur
 from demonlab.errors import InvalidInputError
@@ -67,12 +74,46 @@ class TestToMomentum:
     def test_real_even_maps_to_real_even(self):
         psi = qiur.gaussian_packet(1.3)
         phi = qiur.to_momentum(psi)
-        assert np.max(np.abs(phi.amps.imag)) < 1e-10
+        assert np.max(np.abs(phi.amps.imag)) < 1e-14
         # compare phi(p) against phi(-p) on the symmetric part of the grid
         m = phi.n // 2
         left = phi.amps.real[1:m][::-1]
         right = phi.amps.real[m + 1 : 2 * m]
-        assert np.max(np.abs(left - right)) < 1e-10
+        assert np.max(np.abs(left - right)) < 1e-14
+
+    @pytest.mark.parametrize("units", [NATURAL_UNITS, HBAR_ONE], ids=["h1", "hbar1"])
+    @pytest.mark.parametrize("n", [64, 65, 4097])
+    def test_shift_theorem_equals_the_pre_phase(self, n, units):
+        # a cyclic roll by n // 2 of the FFT is the FFT of psi times exp(2 pi i m j / n),
+        # for odd n as well; the reference's rounding is below 7e-13 at n = 4097
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * 0.05))
+        psi = qiur.Grid(origin=-1.3, spacing=0.05, amps=amps)
+        phi, reference = qiur.to_momentum(psi, units), pre_phase_to_momentum(psi, units)
+        assert (phi.origin, phi.spacing) == (reference.origin, reference.spacing)
+        peak = np.max(np.abs(phi.amps))
+        assert np.max(np.abs(phi.amps - reference.amps)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("n", [4097, 2**20])
+    def test_centred_packet_has_a_real_spectrum(self, n):
+        # the origin phase is reduced to |t| <= 1/2 turn before the exp, so no
+        # rounding of a large argument leaks into the imaginary part
+        phi = qiur.to_momentum(qiur.gaussian_packet(1.0, n=n))
+        assert np.max(np.abs(phi.amps.imag)) <= 1e-14 * np.max(np.abs(phi.amps))
+
+    def test_half_grid_origin_phase_is_a_sign(self):
+        # origin = -(n // 2) dx makes the origin phase exp(i pi (k - m)) = +-1 at every k,
+        # also where |p| origin / hbar is 10^5 rad; a broad spectrum shows any rounding there
+        n, dx = 2**16, 0.01
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
+        psi = qiur.Grid(origin=-(n // 2) * dx, spacing=dx, amps=amps)
+        phi = qiur.to_momentum(psi)
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # (-1)^(k - m) with m even
+        unphased = np.fft.fftshift(np.fft.fft(psi.amps)) * (dx / math.sqrt(NATURAL_UNITS.h))
+        assert np.max(np.abs(phi.amps - signs * unphased)) <= 1e-14 * np.max(np.abs(phi.amps))
 
     def test_parseval(self):
         rng = np.random.default_rng(0)
@@ -292,6 +333,24 @@ class TestGaussianState:
 
 
 class TestEntropyReportAndCsv:
+    @pytest.mark.parametrize(
+        "build, units",
+        [
+            (lambda: qiur.gaussian_packet(1.0), NATURAL_UNITS),
+            (lambda: qiur.box_ground_state(1.0), NATURAL_UNITS),
+            (lambda: random_mixture(np.random.default_rng(3)), NATURAL_UNITS),
+            (lambda: random_mixture(np.random.default_rng(4), HBAR_ONE, n=4097), HBAR_ONE),
+            (lambda: qiur.gaussian_packet(0.7, n=4097), NATURAL_UNITS),
+        ],
+        ids=["packet", "box", "mixture", "mixture-odd-n", "packet-odd-n"],
+    )
+    def test_i_p_is_the_entropy_of_the_public_transform(self, build, units):
+        # entropy_report reads |phi|^2 without the origin phase; to_momentum applies it
+        psi = build()
+        phi = qiur.to_momentum(psi, units)
+        i_p = qiur.differential_entropy(phi.density(), phi.spacing)
+        assert abs(qiur.entropy_report(psi, units)["I_p"] - i_p) <= 1e-13
+
     def test_report_schema(self, tmp_path):
         rep = qiur.entropy_report(qiur.gaussian_packet(1.0))
         assert set(rep) == {"I_x", "I_p", "joint", "bound", "satisfied"}

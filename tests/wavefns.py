@@ -47,6 +47,21 @@ def box_mode(rng, n=4096, span_factor=16.0):
     return qiur.Grid(origin=x0, spacing=dx, amps=amps)
 
 
+def pre_phase_to_momentum(psi, units=NATURAL_UNITS):
+    """Reference for qiur.to_momentum that centres the spectrum with a pre-phase
+    exp(2 pi i m j / n), m = n // 2, and forms the origin phase from p * origin / hbar."""
+    hbar = units.hbar
+    n = psi.n
+    m = n // 2
+    dp = 2.0 * math.pi * hbar / (n * psi.spacing)
+    ps = (np.arange(n) - m) * dp
+    pre_phase = np.exp(2j * math.pi * m * np.arange(n) / n)
+    spectrum = np.fft.fft(psi.amps * pre_phase)
+    scale = psi.spacing / math.sqrt(2.0 * math.pi * hbar)
+    amps = scale * np.exp(-1j * ps * psi.origin / hbar) * spectrum
+    return qiur.Grid(origin=float(ps[0]), spacing=dp, amps=amps)
+
+
 def to_position(phi, units=NATURAL_UNITS, *, x0):
     """Inverse of qiur.to_momentum onto the position grid that starts at x0."""
     hbar = units.hbar
