@@ -46,5 +46,5 @@ from demonlab.units import UnitSystem
 
 u = UnitSystem(h=2.0 * math.pi)
 for sx in (0.5, 1.0, 2.0):
-    phi = qiur.to_momentum(qiur.gaussian_packet(sx, u), u)
+    phi = qiur.to_momentum(qiur.gaussian_packet(sx), u)
     print(f"  sigma_x = {sx:3.1f} -> S = {qiur.thermodynamic_entropy(phi, u):+.6f}")

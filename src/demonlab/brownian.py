@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NORMAL, InvalidInputError, require_positive
+from .errors import NORMAL, InvalidInputError, require_count, require_positive
 
 STEP_PLUS_MINUS_ONE = "plus_minus_one"
 STEP_GAUSSIAN = "gaussian"
@@ -41,8 +41,8 @@ BLOCK_DRAWS = 2**16
 class WalkSpec:
     """Ensemble walk parameters; sigma_step applies to the Gaussian law only."""
 
-    #: A larger walk would not fit in memory or time; the +-1 counts are int32.
-    MAX_STEPS = MAX_WALKERS = 10**7
+    #: A larger walk would not fit in memory or time: +-1 counts are int32, a draw takes 3 ns.
+    MAX_STEPS, MAX_WALKERS, MAX_DRAWS = 10**7, 10**7, 10**9
 
     n_steps: int
     n_walkers: int
@@ -51,9 +51,9 @@ class WalkSpec:
     sigma_step: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, most in (("n_steps", self.MAX_STEPS), ("n_walkers", self.MAX_WALKERS)):
-            if not 1 <= (value := getattr(self, name)) <= most:
-                raise InvalidInputError(f"{name} must be in [1, {most}], got {value!r}")
+        require_count("n_steps", self.n_steps, 1, self.MAX_STEPS)
+        require_count("n_walkers", self.n_walkers, 1, self.MAX_WALKERS)
+        require_count("n_steps * n_walkers", self.n_steps * self.n_walkers, 1, self.MAX_DRAWS)
         if self.step_law not in STEP_LAWS:
             raise InvalidInputError(f"step_law must be one of {STEP_LAWS}")
         require_positive("sigma_step", self.sigma_step)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import __version__
-from .errors import DemonlabError, InvalidInputError, require_positive
+from .errors import DemonlabError, InvalidInputError, require_count, require_positive
 from .reporting import KV_HEADER, json_dumps, kv_rows, write_csv, write_json
 from .units import UnitSystem
 
@@ -223,6 +223,8 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     else:
         rates = markov.random_symmetric_rates(params["states"], rng)
     n = rates.n
+    limit = markov.MAX_TRAJECTORY_SIZE // n
+    samples = require_count(f"samples at {n} states", params["samples"], 2, limit)
 
     if params["p0"]:
         try:
@@ -235,7 +237,6 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         p0 = markov.ProbDist(draw / draw.sum())
 
     t_max = params["t_max"] if params["t_max"] > 0 else 25.0 / markov.spectral_gap(rates)
-    samples = require_positive("samples", params["samples"], least=2)
     grid = np.linspace(0.0, require_positive("t_max", t_max), samples)
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {
@@ -271,7 +272,7 @@ def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     elif params["box_length"] > 0:
         psi = qiur.box_ground_state(params["box_length"], n=params["grid_n"], units=units)
     else:
-        psi = qiur.gaussian_packet(params["sigma_x"], units, n=params["grid_n"])
+        psi = qiur.gaussian_packet(params["sigma_x"], n=params["grid_n"])
     report = qiur.entropy_report(psi, units)
     return report, {"bound_satisfied": report["satisfied"]}, None
 

@@ -35,3 +35,10 @@ def require_positive(name: str, value: float, *, least: float = math.ulp(0.0)) -
         bound = "positive" if least == math.ulp(0.0) else f">= {least!r}"
         raise InvalidInputError(f"{name} must be finite and {bound}, got {value!r}")
     return value
+
+
+def require_count(name: str, value: int, least: int, most: int) -> int:
+    """Return value if least <= value <= most; else raise InvalidInputError."""
+    if not least <= value <= most:
+        raise InvalidInputError(f"{name} must be in [{least}, {most}], got {value!r}")
+    return value

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, require_positive
+from .errors import InvalidInputError, require_count, require_positive
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
 
@@ -134,8 +134,7 @@ def simulate_decay(gamma: float, n_samples: int, rng_seed: int) -> DecaySample:
     seed yields a bit-identical survival curve.
     """
     require_positive("gamma", gamma)
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        raise InvalidInputError(f"n_samples must be in [1, {MAX_SAMPLES}], got {n_samples!r}")
+    require_count("n_samples", n_samples, 1, MAX_SAMPLES)
     # each time -ln(1 - U) / gamma is below 37 / gamma (U < 1 has 53 bits), so when this
     # is finite, so are the times' sum, the lifetime and the curve's five lifetimes
     require_positive(f"gamma too small: 37 n_samples / {gamma!r}", 37.0 * n_samples / gamma)

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidInputError, require_positive
+from .errors import InvalidInputError, require_count, require_positive
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
 
@@ -122,13 +122,8 @@ def monte_carlo_fluctuation(
     V/V0 (a uniform draw below the ratio, which is the same event in any
     dimension).
     """
-    n = round(spec.n_components)
-    if n > MC_MAX_COMPONENTS:
-        raise InvalidInputError(f"Monte-Carlo oracle limited to N <= {MC_MAX_COMPONENTS}")
-    if n_trials < MC_MIN_TRIALS:
-        raise InvalidInputError(f"need at least {MC_MIN_TRIALS} trials")
-    if n_trials > MC_MAX_TRIALS:
-        raise InvalidInputError(f"need at most {MC_MAX_TRIALS} trials, got {n_trials!r}")
+    n = require_count("round(n_components)", round(spec.n_components), 1, MC_MAX_COMPONENTS)
+    require_count("n_trials", n_trials, MC_MIN_TRIALS, MC_MAX_TRIALS)
     ratio = spec.volume_ratio
     rng = np.random.default_rng(rng_seed)
     hits = 0

@@ -30,7 +30,8 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import InvalidInputError, NonUniqueEquilibriumError, NumericError, require_positive
+from .errors import (InvalidInputError, NonUniqueEquilibriumError, NumericError,
+                     require_count, require_positive)
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Zero-probability states make the entropy-production formula diverge, so
@@ -41,11 +42,8 @@ _PROB_SUM_TOL = 1e-12
 
 #: A larger chain would not fit in time: its eigendecomposition costs n^3, 2 s at 2000 states.
 MAX_STATES = 2000
-
-
-def _require_state_count(n: int) -> None:
-    if not 2 <= n <= MAX_STATES:
-        raise InvalidInputError(f"n_states must be in [2, {MAX_STATES}], got {n!r}")
+#: Samples times states of one H-theorem trajectory: 2000 x 5000 take 3.9 s and 465 MB.
+MAX_TRAJECTORY_SIZE = 10**7
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -63,7 +61,7 @@ class RateMatrix:
         r = np.array(self.rates, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise InvalidInputError(f"rate matrix must be square, got shape {r.shape}")
-        _require_state_count(r.shape[0])
+        require_count("n_states", r.shape[0], 2, MAX_STATES)
         if not np.all(np.isfinite(r)):
             raise InvalidInputError("rate matrix contains non-finite entries")
         np.fill_diagonal(r, 0.0)
@@ -339,7 +337,7 @@ def verify_h_theorem(
 def random_symmetric_rates(n: int, rng: np.random.Generator) -> RateMatrix:
     """Random connected symmetric rates: a spanning tree plus each other edge with
     probability 0.3, every rate uniform on [0.5, 2)."""
-    _require_state_count(n)
+    require_count("n_states", n, 2, MAX_STATES)
     # State order[i] attaches to a uniformly chosen earlier state of the order.
     order = rng.permutation(n)
     edges = np.triu(rng.random((n, n)) < 0.3, 1)

@@ -29,20 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NORMAL, InvalidInputError, require_positive
+from .errors import NORMAL, InvalidInputError, require_count, require_positive
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Grid sizes for entropy work: coarser grids alias badly, finer ones outgrow memory.
 MIN_GRID_POINTS, MAX_GRID_POINTS = 64, 2**22
 
 _NORM_TOL = 1e-10
-
-
-def _require_grid_size(n: int) -> None:
-    if n < MIN_GRID_POINTS:
-        raise InvalidInputError(f"grid needs at least {MIN_GRID_POINTS} points")
-    if n > MAX_GRID_POINTS:
-        raise InvalidInputError(f"grid needs at most {MAX_GRID_POINTS} points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class Grid:
         a = np.array(self.amps, dtype=complex)
         if a.ndim != 1:
             raise InvalidInputError("grid amplitudes must be one-dimensional")
-        _require_grid_size(a.size)
+        require_count("grid points", a.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
         require_positive("grid spacing", self.spacing)
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("grid amplitudes contain non-finite values")
@@ -109,26 +102,28 @@ class GaussianState:
 def _spectrum(psi: Grid, units: UnitSystem) -> tuple[float, float, np.ndarray]:
     """(p_0, dp, amplitudes) of to_momentum without its origin phase, which |phi|^2 never sees."""
     hbar = units.hbar
-    m = psi.n // 2
     source = f"{units} and the position spacing {psi.spacing!r}"
-    # a normal dp keeps |phi|^2 <= 1/dp finite; the phase guard bounds p_k origin and 1 / hbar
+    # a normal dp keeps |phi|^2 <= 1/dp finite
     dp = 2.0 * math.pi * hbar / (psi.n * psi.spacing)
     require_positive(f"the momentum spacing of {source}", dp, least=NORMAL)
-    require_positive(f"the phase of {source}", max(m * dp * max(1.0, abs(psi.origin)), 1 / hbar))
-    spectrum = np.fft.fftshift(np.fft.fft(psi.amps))  # DFT shift theorem: a roll by m centres it
+    spectrum = np.fft.fftshift(np.fft.fft(psi.amps))  # DFT shift theorem: a roll by N//2 centres it
     spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * hbar)
     # rho ln rho is summed before dp scales it: sum rho = 1/dp, rho up to max |amps|^2 >= 1/(n dp)
     peak = float(np.abs(spectrum).max()) ** 2
     require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
-    return -m * dp, dp, spectrum
+    return -(psi.n // 2) * dp, dp, spectrum
 
 
 def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
     """hbar-scaled Fourier transform onto the centred conjugate grid p_k = (k - N//2) * dp,
     dp = h/(N*dx); the scaling makes Parseval exact: sum |phi|^2 dp == sum |psi|^2 dx."""
     p0, dp, spectrum = _spectrum(psi, units)
+    m, turns = psi.n // 2, psi.origin / (psi.n * psi.spacing)
+    source = f"{units} and the position spacing {psi.spacing!r}"
+    # a NaN turn count comes first, so that max returns it
+    require_positive(f"the momentum extent and turn count of {source}", max(m * abs(turns), -p0))
     # exp(-2 pi i t), p_k origin / hbar = 2 pi t less whole turns; cos and sin beat a complex exp
-    t = (np.arange(psi.n) - psi.n // 2) * (psi.origin / (psi.n * psi.spacing))
+    t = (np.arange(psi.n) - m) * turns
     angle = -2.0 * math.pi * (t - np.rint(t))
     phase = np.empty(psi.n, dtype=complex)
     np.cos(angle, out=phase.real)
@@ -188,16 +183,15 @@ def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     }
 
 
-def gaussian_packet(sigma_x: float, units: UnitSystem = NATURAL_UNITS, n: int = 4096) -> Grid:
+def gaussian_packet(sigma_x: float, *, n: int = 4096) -> Grid:
     """Gaussian packet at rest around x = 0, sampled over +-8 sigma_x and renormalized
     on the grid; the span keeps truncated tail mass near machine epsilon."""
     require_positive("sigma_x", sigma_x)
     variance = 2.0 * math.pi * (sigma_x * sigma_x)
     require_positive(f"the variance 2 pi sigma_x**2 of sigma_x={sigma_x!r}", variance)
-    require_positive(f"1 / hbar of {units}", 1 / max(units.hbar, 5e-324))  # hbar may be 0
     width = 16.0 * sigma_x
     require_positive(f"the squared half span of sigma_x={sigma_x!r}", (width / 2) * (width / 2))
-    _require_grid_size(n)
+    require_count("grid points", n, MIN_GRID_POINTS, MAX_GRID_POINTS)
     dx = width / n
     x0 = -(n // 2) * dx
     xs = x0 + dx * np.arange(n)
@@ -213,7 +207,7 @@ def box_ground_state(length: float, n: int = 8192, units: UnitSystem = NATURAL_U
     decaying |phi|^2 tail is resolved. The default n is twice the Gaussian
     default: the kinked box edges converge only as dx^2.
     """
-    _require_grid_size(n)
+    require_count("grid points", n, MIN_GRID_POINTS, MAX_GRID_POINTS)
     width = 16.0 * length
     source = f"length = {length!r} on {n} points"
     dx = require_positive(f"the grid spacing of {source}", width / n, least=NORMAL)
@@ -259,7 +253,7 @@ def wavefunction_from_csv(path: str | Path) -> Grid:
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed numeric row: {exc}") from exc
     x, re, im = np.array(rows).reshape(-1, 3).T
-    _require_grid_size(x.size)
+    require_count("grid points", x.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
     steps = np.diff(x)
     dx = float(steps[0])
     if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=0.0):

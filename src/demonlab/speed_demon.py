@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORMAL, InvalidInputError, require_positive
+from .errors import NORMAL, require_count, require_positive
 from .qiur import GaussianState, gaussian_information
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
@@ -196,8 +196,7 @@ def simulate_sorting(
     the door (the most demon-friendly placement); passage means
     |x| < d / 2. The analytic probability is erf(d / (2 sqrt(2) sigma_x)).
     """
-    if not 1 <= n_attempts <= MAX_ATTEMPTS:
-        raise InvalidInputError(f"n_attempts must be in [1, {MAX_ATTEMPTS}], got {n_attempts!r}")
+    require_count("n_attempts", n_attempts, 1, MAX_ATTEMPTS)
     spreads = post_measurement_spreads(gas, probe, units)
     d = geometry.door_size_d
     rng = np.random.default_rng(rng_seed)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStateError, require_positive
+from .errors import InvalidInputError, InvalidStateError, require_count, require_positive
 from .qiur import GaussianState
 from .units import NATURAL_UNITS, UnitSystem
 
@@ -192,8 +192,7 @@ def run_cycle(
     default_rng(rng_seed) Generator to every insert_partition call: cycle i
     goes left when that Generator's i-th random() is below 1/2.
     """
-    if not 1 <= n_cycles <= MAX_CYCLES:
-        raise InvalidInputError(f"n_cycles must be in [1, {MAX_CYCLES}], got {n_cycles!r}")
+    require_count("n_cycles", n_cycles, 1, MAX_CYCLES)
     rng = np.random.default_rng(rng_seed)
     inserted, ds_insert = insert_partition(initial_state(box, units, convention), rng, units)
     work, ds_bath, _ = extract_work(inserted, box, units)

@@ -60,6 +60,15 @@ class TestWalkSpec:
         with pytest.raises(InvalidInputError, match=rf"^{field} must be in \[1, {most}\], got"):
             br.WalkSpec(**{**fields, field: most + 1})
 
+    def test_draws_over_the_limit(self):
+        # 10**9 + 1 = 133 * 7518797; each count alone is inside its own range
+        assert br.WalkSpec.MAX_DRAWS == 10**9
+        assert br.WalkSpec(n_steps=10**4, n_walkers=10**5, rng_seed=0).n_walkers == 10**5
+        message = r"^n_steps \* n_walkers must be in \[1, 1000000000\], got 1000000001$"
+        for steps, walkers in ((133, 7_518_797), (7_518_797, 133)):
+            with pytest.raises(InvalidInputError, match=message):
+                br.WalkSpec(n_steps=steps, n_walkers=walkers, rng_seed=0)
+
     @pytest.mark.parametrize("sigma", [1e200, 1e76, 1e-155, 1e-170])
     def test_gaussian_sigma_out_of_float_range(self, sigma):
         # n_steps^3 sigma^4 (the fit's squared MSDs) overflows above ~3.66e75

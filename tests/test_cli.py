@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from demonlab import cli, fgr, fluctuations, markov, qiur, speed_demon, szilard
+from demonlab import brownian, cli, fgr, fluctuations, markov, qiur, speed_demon, szilard
 from demonlab.cli import UsageError
 
 
@@ -309,7 +309,10 @@ class TestErrorsAtSource:
                      ["qiur", "--grid-n", "63"]):
             assert cli.main(argv) == 1
             lines.append(capsys.readouterr().err)
-        assert lines == ["demonlab qiur: error: grid needs at least 64 points\n"] * 3
+        assert lines == [
+            f"demonlab qiur: error: grid points must be in [64, 4194304], got {n}\n"
+            for n in (0, 0, 63)
+        ]
 
 
 class NumpyTripwire:
@@ -366,7 +369,9 @@ class TestCounts:
         assert cli.main(["einstein", "--trials", "-5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "demonlab einstein: error: need at least 10000 trials\n"
+        assert captured.err == (
+            "demonlab einstein: error: n_trials must be in [10000, 10000000], got -5\n"
+        )
 
     @pytest.mark.parametrize("samples", ["1", "0", "-3"])
     def test_h_theorem_fewer_than_two_samples_exit_1(self, samples, capsys):
@@ -374,7 +379,36 @@ class TestCounts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"demonlab h-theorem: error: samples must be finite and >= 2, got {samples}\n"
+            "demonlab h-theorem: error: "
+            f"samples at 6 states must be in [2, 1666666], got {samples}\n"
+        )
+
+    @pytest.mark.parametrize("states, most", [(6, 1_666_666), (2000, 5000)])
+    def test_h_theorem_samples_times_states_is_bounded(self, states, most, monkeypatch, capsys):
+        assert markov.MAX_TRAJECTORY_SIZE == 10**7
+        argv = ["h-theorem", "--states", str(states), "--t-max", "1", "--samples"]
+        for samples in (most + 1, 10**11):
+            assert cli.main([*argv, str(samples)]) == 1
+            assert capsys.readouterr().err == (
+                f"demonlab h-theorem: error: samples at {states} states must be in "
+                f"[2, {most}], got {samples}\n"
+            )
+
+        def stop(rates, p0, grid, units):
+            raise AssertionError(f"verify_h_theorem reached with {grid.size} samples")
+
+        monkeypatch.setattr(markov, "verify_h_theorem", stop)
+        with pytest.raises(AssertionError, match=f"with {most} samples"):
+            cli.main([*argv, str(most)])
+
+    def test_a_walk_of_too_many_draws_ends_before_any_array(self, monkeypatch, capsys):
+        monkeypatch.setattr(brownian, "np", NumpyTripwire())
+        assert cli.main(["brownian", "--steps", str(10**7), "--walkers", str(10**7)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "demonlab brownian: error: n_steps * n_walkers must be in [1, 1000000000], "
+            "got 100000000000000\n"
         )
 
     def test_h_theorem_samples_every_requested_time(self, tmp_path, capsys):
@@ -459,8 +493,6 @@ MOMENTUM_GRID_ERRORS = {
     "box-si": ["qiur", "--box-length", "1e280", "--si"],
     "box-tiny-h": ["qiur", "--box-length", "1e20", "--h", "1e-300"],
     "small-box-huge-h": ["qiur", "--box-length", "1e-280", "--h", "1e300"],
-    "huge-h": ["qiur", "--h", "1e308"],
-    "csv-huge-h": ["qiur", "--input", WAVEFN, "--h", "1e307"],
     "csv-subnormal-h": ["qiur", "--input", WAVEFN, "--h", "1e-320"],
 }
 
@@ -500,6 +532,16 @@ class TestMomentumGridAndFuzzFindings:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: "), lines
+
+    @pytest.mark.parametrize("argv", [["qiur", "--h", "1e308"],
+                                      ["qiur", "--input", WAVEFN, "--h", "1e307"]],
+                             ids=["huge-h", "csv-huge-h"])
+    def test_huge_h_satisfies_the_bound(self, argv, capsys):
+        # the report forms no origin phase, so nothing in it leaves float64 range
+        assert cli.main(argv) == 0
+        derived = json.loads(capsys.readouterr().out)["derived"]
+        assert all(math.isfinite(derived[key]) for key in ("I_x", "I_p", "joint"))
+        assert derived["joint"] >= derived["bound"] - 1e-3
 
     def test_box_length_1e307_is_still_refused(self, capsys):
         assert cli.main(["qiur", "--box-length", "1e307"]) == 1

@@ -229,7 +229,8 @@ class TestFluctuationReport:
 
     def test_negative_trials_refused(self):
         spec = fl.FluctuationSpec(n_components=3.0, volume_v=0.5, volume_v0=1.0)
-        with pytest.raises(InvalidInputError, match="at least 10000 trials"):
+        message = r"^n_trials must be in \[10000, 10000000\], got -5$"
+        with pytest.raises(InvalidInputError, match=message):
             fl.fluctuation_report(spec, -5, rng_seed=0)
 
     def test_monte_carlo_and_brillouin_checks(self):

@@ -2,7 +2,8 @@
 
 Each example runs ``cli.main`` in-process with every float flag of a scenario
 drawn from subnormal, huge, infinite, NaN, negative and ordinary values, and a
-seed from -2**70 to 2**70. Counts stay small, so no example allocates much.
+seed from -2**70 to 2**70. Counts stay small, so no example allocates much;
+each int flag is also driven alone at -1, 0, 1 and far past every count limit.
 The run must exit 0, 1 or 2 without an exception; a failure writes exactly one
 ``demonlab <scenario>: error:`` or ``demonlab: error:`` line and nothing else;
 stdout is empty or JSON with no NaN or Infinity. No warning may escape, except
@@ -46,9 +47,13 @@ FLOATS = st.one_of(
 )
 
 
-def float_flags(scenario: str) -> list[str]:
+#: Each is refused by its count's range, or small enough to run in a moment.
+INT_EXTREMES = [-1, 0, 1, 10**11, 2**63, 10**30]
+
+
+def flags(scenario: str, kind: type) -> list[str]:
     table = {**cli.COMMON_PARAMS, **cli.SCENARIO_PARAMS[scenario]}
-    return [key for key, (typ, _default) in table.items() if typ is float]
+    return [key for key, (typ, _default) in table.items() if typ is kind]
 
 
 def _reject_constant(name: str) -> None:
@@ -58,7 +63,7 @@ def _reject_constant(name: str) -> None:
 @st.composite
 def argvs(draw, scenario: str) -> list[str]:
     argv = [scenario, *COUNTS[scenario]]
-    for key in float_flags(scenario):
+    for key in flags(scenario, float):
         if draw(st.booleans()):
             argv.append(f"--{key.replace('_', '-')}={draw(FLOATS)!r}")
     if draw(st.booleans()):
@@ -100,9 +105,20 @@ SCENARIOS = sorted(cli.SCENARIO_PARAMS)
 def test_each_float_flag_alone_at_each_extreme(scenario):
     argvs_ = [
         [scenario, *COUNTS[scenario], f"--{key.replace('_', '-')}={value!r}", *extra]
-        for key in float_flags(scenario)
+        for key in flags(scenario, float)
         for value in EXTREMES
         for extra in ([], ["--si"])
+    ]
+    broken = [(argv, why) for argv in argvs_ if (why := escape(scenario, argv))]
+    assert broken == []
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_each_int_flag_alone_at_each_extreme(scenario):
+    argvs_ = [
+        [scenario, *COUNTS[scenario], f"--{key.replace('_', '-')}={value}"]
+        for key in flags(scenario, int)
+        for value in INT_EXTREMES
     ]
     broken = [(argv, why) for argv in argvs_ if (why := escape(scenario, argv))]
     assert broken == []

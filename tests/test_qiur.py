@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from demonlab.errors import InvalidInputError
 from demonlab.units import NATURAL_UNITS, UnitSystem
 
 HBAR_ONE = UnitSystem(h=2.0 * math.pi)
+WAVEFN = Path(__file__).with_name("golden") / "wavefn.csv"
+
+
+def far_grid() -> qiur.Grid:
+    """A flat 64-point grid at origin 1e306 with spacing 1e-5: origin / (N dx) is inf."""
+    return qiur.Grid(origin=1e306, spacing=1e-5, amps=np.full(64, complex(1 / math.sqrt(64e-5))))
 
 
 class TestGrids:
@@ -39,6 +46,11 @@ class TestGrids:
         psi = qiur.gaussian_packet(1.0)
         assert abs(np.sum(psi.density()) * psi.spacing - 1.0) < 1e-12
 
+    def test_gaussian_packet_takes_no_units(self):
+        # the grid does not depend on the units, and a call that passes them fails loudly
+        with pytest.raises(TypeError):
+            qiur.gaussian_packet(1.0, HBAR_ONE)
+
 
     @pytest.mark.parametrize("sigma_x", [1e-300, 1e-170, 1e155, 1e300])
     def test_gaussian_packet_rejects_degenerate_widths(self, sigma_x):
@@ -49,7 +61,8 @@ class TestGrids:
     @pytest.mark.parametrize("n", [0, 63])
     def test_builders_check_the_size_before_the_spacing(self, n):
         for build in (qiur.gaussian_packet, qiur.box_ground_state):
-            with pytest.raises(InvalidInputError, match="at least 64 points"):
+            message = rf"^grid points must be in \[64, 4194304\], got {n}$"
+            with pytest.raises(InvalidInputError, match=message):
                 build(1.0, n=n)
 
     @pytest.mark.parametrize("length, n", [(1e-305, 4096), (1e307, 4096), (1e-302, 65536)])
@@ -66,7 +79,7 @@ class TestGrids:
 class TestToMomentum:
     def test_gaussian_width_at_hbar_one(self):
         # sigma_x = 1 with hbar = 1 transforms to sigma_p = 1/2
-        psi = qiur.gaussian_packet(1.0, HBAR_ONE)
+        psi = qiur.gaussian_packet(1.0)
         phi = qiur.to_momentum(psi, HBAR_ONE)
         _, sigma_p = density_moments(phi.points, phi.density(), phi.spacing)
         assert sigma_p == pytest.approx(0.5, abs=1e-6)
@@ -134,6 +147,27 @@ class TestToMomentum:
         psi = random_mixture(np.random.default_rng(2), HBAR_ONE)
         back = to_position(qiur.to_momentum(psi, HBAR_ONE), HBAR_ONE, x0=psi.origin)
         assert np.max(np.abs(back.amps - psi.amps)) < 1e-9
+
+    @pytest.mark.parametrize("build, h", [
+        (lambda: qiur.gaussian_packet(1.0), 1e308),  # the extent m dp overflows
+        (far_grid, 1.0),  # the turn count m origin / (N dx) overflows
+        (far_grid, 1e-10),
+    ], ids=["packet-h-1e308", "far-h-1", "far-h-1e-10"])
+    def test_a_grid_out_of_float_range_names_h_and_the_spacing(self, build, h):
+        with pytest.raises(InvalidInputError) as caught:
+            qiur.to_momentum(build(), UnitSystem(h=h))
+        assert "UnitSystem(" in str(caught.value) and "position spacing" in str(caught.value)
+
+    def test_a_grid_near_the_float_limit_is_formed(self):
+        # extent 2e307 and 64 turns: both finite, though p_k origin overflows
+        phi = qiur.to_momentum(qiur.wavefunction_from_csv(WAVEFN), UnitSystem(h=1e307))
+        assert np.all(np.isfinite(phi.points)) and phi.origin == pytest.approx(-2e307)
+        assert abs(np.sum(phi.density()) * phi.spacing - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("h", [1.0, 1e-10])
+    def test_entropy_report_forms_no_origin_phase(self, h):
+        report = qiur.entropy_report(far_grid(), UnitSystem(h=h))
+        assert all(math.isfinite(report[key]) for key in ("I_x", "I_p", "joint"))
 
 
 class TestDifferentialEntropy:
@@ -264,7 +298,7 @@ class TestJointInformation:
         assert qiur.qiur_bound(units) == pytest.approx(
             math.log(7.0 * math.e / 2.0), abs=1e-14
         )
-        psi = qiur.gaussian_packet(1.0, units)
+        psi = qiur.gaussian_packet(1.0)
         assert qiur.joint_information(psi, units) == pytest.approx(
             qiur.qiur_bound(units), abs=1e-3
         )
@@ -295,14 +329,14 @@ class TestThermodynamicEntropy:
     def test_gaussian_momentum_density(self):
         units = HBAR_ONE
         # sigma_x = 1/2 at hbar = 1 gives sigma_p = 1
-        psi = qiur.gaussian_packet(0.5, units)
+        psi = qiur.gaussian_packet(0.5)
         phi = qiur.to_momentum(psi, units)
         s = qiur.thermodynamic_entropy(phi, units)
         assert s == pytest.approx(1.4189385332046727, abs=1e-4)
 
     def test_linear_in_k(self):
         units = UnitSystem(k=2.0, h=2.0 * math.pi)
-        psi = qiur.gaussian_packet(0.5, units)
+        psi = qiur.gaussian_packet(0.5)
         phi = qiur.to_momentum(psi, units)
         assert qiur.thermodynamic_entropy(phi, units) == pytest.approx(
             2.8378770664093455, abs=2e-4
@@ -311,8 +345,8 @@ class TestThermodynamicEntropy:
     def test_momentum_squeeze_reduces_entropy_by_k_ln2(self):
         units = HBAR_ONE
         # doubling sigma_x halves sigma_p, lowering S by k ln 2
-        narrow = qiur.to_momentum(qiur.gaussian_packet(0.5, units), units)
-        wide = qiur.to_momentum(qiur.gaussian_packet(1.0, units), units)
+        narrow = qiur.to_momentum(qiur.gaussian_packet(0.5), units)
+        wide = qiur.to_momentum(qiur.gaussian_packet(1.0), units)
         delta = qiur.thermodynamic_entropy(wide, units) - qiur.thermodynamic_entropy(
             narrow, units
         )
