@@ -12,7 +12,8 @@ The walk is drawn in blocks of ceil(2**16 / W) steps for W walkers, one generato
 per block. The +-1 walk counts each walker's +1 steps B in int32 (x = 2 B - t), and
 sum x = 2 sum B - W t and sum x^2 = 4 sum B^2 - 4 t sum B + W t^2 are float64 sums of
 whole numbers: exact, so equal to the float walk's bit for bit, while W t^2 < 2**53.
-The steps, and the generator's state after them, are those of rng.integers(0, 2).
+A block of k +-1 steps takes one step from each bit of ceil(k W / 64) raw PCG64 words, 1 a
++1 step and 0 a -1 step: every bit of a PCG64 output is of full quality (O'Neill 2014).
 """
 
 from __future__ import annotations
@@ -71,19 +72,14 @@ class WalkSpec:
 def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int) -> np.ndarray:
     """The next k steps of every walker, one row each: float64 Gaussian steps, or int32 1 for
     a +1 step and 0 for a -1 step. A (k, W) normal draw fills in C order, so it equals k row
-    draws. The +-1 steps and the state after them are those of rng.integers(0, 2, size=k * W),
-    which takes the top bit of each 32-bit word of PCG64's stream (the low, then the high half
-    of each raw output; a half left over waits in the state), read here in one raw call."""
+    draws. The +-1 steps are the bits of ceil(k W / 64) raw PCG64 words, each word read from
+    its least significant bit up, the words in order; the bits left in the last word go unused."""
     if spec.step_law == STEP_GAUSSIAN:
         return rng.normal(0.0, spec.sigma_step, size=(k, spec.n_walkers))
-    n, bitgen = k * spec.n_walkers, rng.bit_generator
-    has, spare = bitgen.state["has_uint32"], bitgen.state["uinteger"]
-    words = bitgen.random_raw((n - has + 1) // 2).astype("<u8", copy=False).view("<u4")
-    last = int(words[-1]) if words.size else spare  # the state keeps the last word read
-    bitgen.state = {**bitgen.state, "has_uint32": words.size + has - n, "uinteger": last}
-    steps = np.concatenate((np.array([spare], np.uint32), words[: n - 1])) if has else words[:n]
-    steps >>= 31
-    return steps.view(np.int32).reshape(k, spec.n_walkers)
+    n = k * spec.n_walkers
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    return bits.astype(np.int32).reshape(k, spec.n_walkers)
 
 
 def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:

@@ -56,6 +56,8 @@ class Grid:
             raise InvalidInputError("grid amplitudes must be one-dimensional")
         require_count("grid points", a.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
         require_positive("grid spacing", self.spacing)
+        if not math.isfinite(self.origin):
+            raise InvalidInputError(f"grid origin must be finite, got {self.origin!r}")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("grid amplitudes contain non-finite values")
         norm = np.sum(np.abs(a) ** 2) * self.spacing

@@ -18,8 +18,9 @@ KV_HEADER = ("key", "value")
 
 
 def binomial_3sigma(p: float, n: int) -> float:
-    """Three standard errors of a frequency over n trials with probability p."""
-    return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    """Three standard errors 3 sqrt(p (1 - p) / n) of a frequency over n trials; scaled by 2**200
+    in the root, a tiny p (1 - p) / n does not underflow to 0, and a normal one keeps its bits."""
+    return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) * 2.0**200 / n) * 2.0**-100
 
 
 def _plain(obj: Any) -> Any:

@@ -18,13 +18,25 @@ def pm1_msd_standard_error(n_steps: int, n_walkers: int) -> float:
     return math.sqrt(2.0 * n_steps * (n_steps - 1) / n_walkers)
 
 
+def pm1_bits(rng: np.random.Generator, n: int) -> list[int]:
+    """n +-1 steps (1 for +1) by Python ints: bit j of each of ceil(n / 64) raw words, from
+    the least significant bit up, the words in order."""
+    words = rng.bit_generator.random_raw(-(-n // 64))
+    return [(int(word) >> j) & 1 for word in words for j in range(64)][:n]
+
+
 def reference_walk(spec: br.WalkSpec) -> Iterator[np.ndarray]:
-    """The float walk: positions after each step, one array updated in place."""
+    """The float walk: positions after each step, one array updated in place. The +-1
+    steps of each block of ceil(BLOCK_DRAWS / W) steps are the bits of its own words."""
     rng = np.random.default_rng(spec.rng_seed)
     x = np.zeros(spec.n_walkers)
-    for _ in range(spec.n_steps):
+    k = math.ceil(br.BLOCK_DRAWS / spec.n_walkers)
+    for t in range(spec.n_steps):
         if spec.step_law == br.STEP_PLUS_MINUS_ONE:
-            x += rng.integers(0, 2, size=spec.n_walkers) * 2.0 - 1.0
+            if t % k == 0:
+                rows = min(k, spec.n_steps - t)
+                block = iter(np.reshape(pm1_bits(rng, rows * spec.n_walkers), (rows, -1)))
+            x += next(block) * 2.0 - 1.0
         else:
             x += rng.normal(0.0, spec.sigma_step, size=spec.n_walkers)
         yield x
@@ -205,7 +217,7 @@ class TestIntegerWalk:
     @pytest.mark.parametrize("steps, walkers", [
         (1, 7), (19, 1001), (20, 20001), (300, 4096),
         (67, 1001),  # one step past the first block of 66
-        (3, 65537),  # one step a block, the spare 32-bit half alternating
+        (3, 65537),  # one step a block, 63 bits of its last word unused
         (2 * 21846 + 1, 3),  # three blocks, the last of one step
         (1000, 1),
     ])
@@ -220,19 +232,34 @@ class TestIntegerWalk:
 
     @pytest.mark.parametrize("walkers", [1, 2, 7, 1001, 4096])
     def test_pm1_steps_and_state_are_those_of_integers(self, walkers):
-        # draws of k rows alternate with rng.integers on one generator, so a 32-bit
-        # half left over by either is taken up by the other
+        # draws of k rows, checked against the Python-int bits of their words, alternate with
+        # rng.integers on one generator: a 32-bit half that integers leaves over waits in the
+        # state for the next integers call, and raw words do not touch it
         spec = br.WalkSpec(n_steps=1, n_walkers=walkers, rng_seed=0)
         ref, rng = np.random.default_rng(8), np.random.default_rng(8)
         for i, k in enumerate([1, 1, 3, 3, 2, 5]):
-            expected = ref.integers(0, 2, size=k * walkers).reshape(k, walkers)
             if i % 2:
+                expected = np.reshape(pm1_bits(ref, k * walkers), (k, walkers))
                 steps = br._draw_steps(spec, rng, k)
                 assert steps.dtype == np.int32 and steps.shape == (k, walkers)
             else:
+                expected = ref.integers(0, 2, size=k * walkers).reshape(k, walkers)
                 steps = rng.integers(0, 2, size=k * walkers).reshape(k, walkers)
             assert np.array_equal(steps, expected)
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_pm1_steps_are_fair_overall_at_each_bit_position_and_at_lag_one(self):
+        # 2**22 steps from 2**16 whole words: each +1 fraction has standard error 1 / (2 sqrt n)
+        spec = br.WalkSpec(n_steps=1, n_walkers=4096, rng_seed=2024)
+        steps = br._draw_steps(spec, np.random.default_rng(2024), 1024).ravel()
+        assert steps.size == 2**22
+
+        def within_4sigma(fraction, n):
+            return np.all(np.abs(fraction - 0.5) <= 4.0 * 0.5 / math.sqrt(n))
+
+        assert within_4sigma(steps.mean(), steps.size)
+        assert within_4sigma(steps.reshape(-1, 64).mean(axis=0), steps.size // 64)
+        assert within_4sigma(np.mean(steps[1:] == steps[:-1]), steps.size - 1)
 
     @pytest.mark.parametrize("steps, walkers", [(67, 1001), (4, 65537), (3, 1)])
     def test_pm1_walk_leaves_the_state_of_integers(self, steps, walkers, monkeypatch):
@@ -245,8 +272,9 @@ class TestIntegerWalk:
         monkeypatch.setattr(br, "_draw_steps", recording)
         for _ in br._walk(br.WalkSpec(steps, walkers, 5)):
             pass
-        ref = np.random.default_rng(5)
-        ref.integers(0, 2, size=steps * walkers)
+        ref, k = np.random.default_rng(5), math.ceil(br.BLOCK_DRAWS / walkers)
+        for t0 in range(0, steps, k):  # each block reads ceil(k W / 64) words of its own
+            ref.bit_generator.random_raw(-(-min(k, steps - t0) * walkers // 64))
         assert len(used) == math.ceil(steps / math.ceil(br.BLOCK_DRAWS / walkers))
         assert used[-1].bit_generator.state == ref.bit_generator.state
 

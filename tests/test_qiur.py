@@ -36,6 +36,14 @@ class TestGrids:
         with pytest.raises(InvalidInputError):
             qiur.Grid(origin=0.0, spacing=0.1, amps=np.ones(n, dtype=complex))
 
+    @pytest.mark.parametrize("origin", [math.nan, math.inf, -math.inf])
+    def test_non_finite_origin_rejected(self, origin):
+        amps = np.full(64, complex(1 / math.sqrt(6.4)))
+        assert qiur.Grid(origin=0.0, spacing=0.1, amps=amps).n == 64
+        message = rf"^grid origin must be finite, got {origin!r}$"
+        with pytest.raises(InvalidInputError, match=message):
+            qiur.Grid(origin=origin, spacing=0.1, amps=amps)
+
     def test_too_few_points_rejected(self):
         amps = np.full(32, complex(1.0))
         amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2) * 0.1))

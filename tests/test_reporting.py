@@ -58,3 +58,7 @@ def test_binomial_3sigma():
     assert binomial_3sigma(0.5, 100) == pytest.approx(0.15)
     assert binomial_3sigma(0.125, 20_000) == 3.0 * math.sqrt(0.125 * 0.875 / 20_000)
     assert binomial_3sigma(1.0, 10) == 0.0
+    # p (1 - p) / n underflows to 0 for a subnormal p; the tolerance must not
+    p = 8.686e-321
+    assert p * (1.0 - p) / 10_000 == 0.0
+    assert binomial_3sigma(p, 10_000) == 3.0 * math.sqrt(p) / 100.0 > p

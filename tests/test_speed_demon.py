@@ -1,5 +1,6 @@
 """Speed-sorting demon: thermal momentum, door bound, probe trade-off, MC."""
 
+import json
 import math
 import warnings
 from dataclasses import asdict
@@ -248,6 +249,15 @@ class TestSimulateSorting:
         assert report.feasibility_ratio == pytest.approx(10.0, rel=1e-12)
         assert abs(report.sorting_usable_change) < 1e-12
         assert all(report.verdicts().values())
+
+    def test_a_subnormal_door_passes_its_monte_carlo_check(self, capsys):
+        # no attempt passes a door of 1e-320; its passage probability is 8.7e-321, and the
+        # 3-sigma tolerance of that frequency over 10**4 attempts must not underflow to 0
+        assert cli.main(["speed-demon", "--door", "1e-320"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["derived"]["n_passed"] == 0
+        assert 0.0 < report["derived"]["analytic_passage"] < 1e-320
+        assert report["verdicts"] == {"sorting_infeasible": True, "mc_within_3sigma": True}
 
     def test_invalid_attempts(self):
         gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)
