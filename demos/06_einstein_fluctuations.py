@@ -14,27 +14,28 @@ from demonlab.units import NATURAL_UNITS
 print("entropy change and fluctuation probability, V/V0 = 0.5:")
 print("  N    dS/k        W = (V/V0)^N   exp(dS/k)")
 for n in (1, 3, 5, 10):
-    spec = fl.FluctuationSpec(n, 0.5, 1.0)
+    spec = fl.FluctuationSpec(n, 0.5)
     ds = fl.gas_entropy_change(spec)
     w = fl.fluctuation_probability(spec)
     print(f"  {n:2d}  {ds:+.6f}   {w:.6e}   {math.exp(ds):.6e}")
 
 print("\nradiation with E = 5 h nu behaves as N = 5 components:")
 units = NATURAL_UNITS
-ds_rad = fl.radiation_entropy_change(5.0 * units.h * 2.0, 2.0, 0.5, 1.0, units)
+radiation = fl.FluctuationSpec.from_radiation(5.0 * units.h * 2.0, 2.0, 0.5, units)
+ds_rad = fl.gas_entropy_change(radiation, units)
 print(f"  dS(radiation)/k = {ds_rad:+.6f}   (5 ln(1/2) = {5 * math.log(0.5):+.6f})")
 
 print("\nMonte-Carlo all-inside frequency, 10^6 trials each:")
 print("  N   V/V0   empirical    analytic")
 for seed, (n, ratio) in enumerate([(1, 0.3), (3, 0.5), (5, 0.5), (10, 0.3)]):
-    spec = fl.FluctuationSpec(n, ratio, 1.0)
+    spec = fl.FluctuationSpec(n, ratio)
     emp = fl.monte_carlo_fluctuation(spec, 1_000_000, rng_seed=seed)
     print(f"  {n:2d}   {ratio:.1f}   {emp:.6f}    {fl.fluctuation_probability(spec):.6f}")
 
 print("\nBrillouin's balance for one photon-probe detection (k = T = 1):")
 print("  h nu1 / kT   dS_demon   dS_gas(exact)   net")
 for b in (1.0, 10.0, 100.0):
-    spec = fl.BrillouinSpec(temperature_T=1.0, nu1=b, p0_count=1.0, p_info=1e-4)
+    spec = fl.BrillouinSpec(b=b, info_fraction=1e-4)
     bal = fl.brillouin_balance(spec)
     print(f"  {b:10.1f}   {bal['dS_demon']:8.3f}   {bal['dS_gas_exact']:+.3e}"
           f"     {bal['net']:8.3f}")

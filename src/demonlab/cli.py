@@ -236,7 +236,8 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         draw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
         p0 = markov.ProbDist(draw / draw.sum())
 
-    t_max = params["t_max"] if params["t_max"] > 0 else 25.0 / markov.spectral_gap(rates)
+    t_max = require_positive("t_max", params["t_max"], least=0.0)
+    t_max = t_max or 25.0 / markov.spectral_gap(rates)
     grid = np.linspace(0.0, require_positive("t_max", t_max), samples)
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {
@@ -267,10 +268,11 @@ def _run_fgr(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
 def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     from . import qiur
 
+    box_length = require_positive("box_length", params["box_length"], least=0.0)
     if params["input"]:
         psi = qiur.wavefunction_from_csv(params["input"])
-    elif params["box_length"] > 0:
-        psi = qiur.box_ground_state(params["box_length"], n=params["grid_n"], units=units)
+    elif box_length > 0:
+        psi = qiur.box_ground_state(box_length, n=params["grid_n"], units=units)
     else:
         psi = qiur.gaussian_packet(params["sigma_x"], n=params["grid_n"])
     report = qiur.entropy_report(psi, units)
@@ -303,14 +305,13 @@ def _run_speed_demon(params: dict, units: UnitSystem, seed: int) -> RunnerResult
     from . import speed_demon
 
     gas = speed_demon.GasSpec(temperature_T=params["temperature"], mass_m=params["mass"])
-    if params["nu_low"] > 0:
+    if require_positive("nu_low", params["nu_low"], least=0.0) > 0:
         probe = speed_demon.ProbeSpec(params["nu_low"])
     else:
         probe = speed_demon.ProbeSpec.from_energy_ratio(gas, params["ratio"], units)
-    if params["door"] > 0:
-        door = params["door"]
-    else:
-        door = speed_demon.max_door_size(speed_demon.rms_momentum(gas, units), units)
+    door = require_positive("door", params["door"], least=0.0) or speed_demon.max_door_size(
+        speed_demon.rms_momentum(gas, units), units
+    )
     report = speed_demon.simulate_sorting(
         gas, probe, speed_demon.SortingGeometry(door), params["attempts"], seed, units
     )
@@ -320,27 +321,16 @@ def _run_speed_demon(params: dict, units: UnitSystem, seed: int) -> RunnerResult
 def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     from . import fluctuations as fluct
 
-    if params["energy"] > 0 and params["frequency"] > 0:
-        spec = fluct.FluctuationSpec.from_radiation(
-            params["energy"], params["frequency"], params["volume_ratio"], 1.0, units
-        )
+    ratio = params["volume_ratio"]
+    energy = require_positive("energy", params["energy"], least=0.0)
+    frequency = require_positive("frequency", params["frequency"], least=0.0)
+    if energy > 0 and frequency > 0:
+        spec = fluct.FluctuationSpec.from_radiation(energy, frequency, ratio, units)
     else:
-        spec = fluct.FluctuationSpec(
-            n_components=params["n_components"],
-            volume_v=params["volume_ratio"],
-            volume_v0=1.0,
-        )
-    brillouin = None
-    if params["brillouin_b"] > 0:
-        brillouin = fluct.BrillouinSpec(
-            temperature_T=1.0,
-            nu1=params["brillouin_b"] * units.k / units.h,
-            p0_count=1.0,
-            p_info=params["info_fraction"],
-        )
-    derived, verdicts = fluct.fluctuation_report(
-        spec, params["trials"], seed, brillouin, units
-    )
+        spec = fluct.FluctuationSpec(params["n_components"], ratio)
+    b = require_positive("brillouin_b", params["brillouin_b"], least=0.0)
+    brillouin = fluct.BrillouinSpec(b, params["info_fraction"]) if b > 0 else None
+    derived, verdicts = fluct.fluctuation_report(spec, params["trials"], seed, brillouin, units)
     return derived, verdicts, None
 
 

@@ -10,13 +10,15 @@ N = E / (h nu). The probability of such a spontaneous fluctuation is
 the form forced by consistency with the entropy change through Boltzmann's
 relation. (A published variant reading (V/V0) e^N exceeds unity for N >= 1
 and cannot be a probability; it is treated here as a typographical slip.)
-A brute-force Monte-Carlo harness places N independent uniform points per
+Both depend on V/V0 alone, so a FluctuationSpec holds N and that ratio. A
+brute-force Monte-Carlo harness places N independent uniform points per
 trial and reproduces the power law.
 
 Brillouin's detection balance is included: a probe photon with
-h nu_1 >> kT raises the gas entropy by h nu_1 / T while the acquired
-information reduces the microstate count P0 by p << P0, lowering entropy by
-only k ln(P0 / (P0 - p)) ~ k p / P0, so the net change stays positive.
+b = h nu_1 / kT >> 1 raises the gas entropy by h nu_1 / T = k b while the
+acquired information reduces the microstate count P0 by a fraction
+f = p / P0 << 1, lowering entropy by only -k ln(1 - f) ~ k f, so the net
+change stays positive. A BrillouinSpec holds b and f, all the balance reads.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ _MC_CHUNK = 200_000
 
 @dataclass(frozen=True)
 class FluctuationSpec:
-    """Component count and the volume pair (V, V0), with V <= V0.
+    """Component count N and the volume ratio V/V0, with 0 < V/V0 <= 1.
 
     n_components may be non-integral (e.g. E/(h nu) for radiation); the
     Monte-Carlo oracle rounds it. V > V0 is refused: dS would change sign
@@ -51,60 +53,29 @@ class FluctuationSpec:
     """
 
     n_components: float
-    volume_v: float
-    volume_v0: float
+    volume_ratio: float
 
     def __post_init__(self) -> None:
         require_positive("n_components", self.n_components, least=1.0)
-        require_positive("volume_v", self.volume_v)
-        require_positive("volume_v0", self.volume_v0)
-        if self.volume_v > self.volume_v0:
+        if require_positive("volume_ratio", self.volume_ratio) > 1.0:
             raise InvalidInputError("V > V0 is refused: the sign of dS flips")
-
-    @property
-    def volume_ratio(self) -> float:
-        return self.volume_v / self.volume_v0
 
     @classmethod
     def from_radiation(
-        cls,
-        energy: float,
-        frequency: float,
-        volume_v: float,
-        volume_v0: float,
-        units: UnitSystem = NATURAL_UNITS,
+        cls, energy: float, frequency: float, volume_ratio: float, units: UnitSystem = NATURAL_UNITS
     ) -> "FluctuationSpec":
         """Spec with N = E / (h nu)."""
         h_nu = require_positive(f"h * frequency of {units}", units.h * frequency)
         n = require_positive("N = energy / (h * frequency)", energy / h_nu, least=1.0)
-        return cls(n_components=n, volume_v=volume_v, volume_v0=volume_v0)
-
-
-def _entropy_change(n: float, v: float, v0: float, units: UnitSystem) -> float:
-    """k N (ln V - ln V0): no ratio to under- or overflow, and a finite result or an error."""
-    ds = units.k * n * (math.log(v) - math.log(v0))
-    require_positive(f"|k N ln(V/V0)| of N={n!r}, V={v!r}, V0={v0!r}, {units}", abs(ds), least=0.0)
-    return ds
+        return cls(n_components=n, volume_ratio=volume_ratio)
 
 
 def gas_entropy_change(spec: FluctuationSpec, units: UnitSystem = NATURAL_UNITS) -> float:
-    """k N ln(V/V0); nonpositive for a contraction (V <= V0)."""
-    return _entropy_change(spec.n_components, spec.volume_v, spec.volume_v0, units)
-
-
-def radiation_entropy_change(
-    energy: float,
-    frequency: float,
-    volume_v: float,
-    volume_v0: float,
-    units: UnitSystem = NATURAL_UNITS,
-) -> float:
-    """k (E / h nu) ln(V/V0); the gas formula with N read off the radiation."""
-    require_positive("energy", energy, least=0.0)
-    h_nu = require_positive(f"h * frequency of {units}", units.h * frequency)
-    n = require_positive("N = energy / (h * frequency)", energy / h_nu, least=0.0)
-    v, v0 = require_positive("volume_v", volume_v), require_positive("volume_v0", volume_v0)
-    return _entropy_change(n, v, v0, units)
+    """k N ln(V/V0); nonpositive for a contraction (V <= V0), and finite or an error."""
+    n, ratio = spec.n_components, spec.volume_ratio
+    ds = units.k * n * math.log(ratio)
+    require_positive(f"|k N ln(V/V0)| of N={n!r}, V/V0={ratio!r}, {units}", abs(ds), least=0.0)
+    return ds
 
 
 def fluctuation_probability(spec: FluctuationSpec) -> float:
@@ -138,19 +109,15 @@ def monte_carlo_fluctuation(
 
 @dataclass(frozen=True)
 class BrillouinSpec:
-    """Probe frequency, bath temperature, and microstate bookkeeping."""
+    """The probe's b = h nu_1 / kT and the information fraction f = p / P0."""
 
-    temperature_T: float
-    nu1: float
-    p0_count: float
-    p_info: float
+    b: float
+    info_fraction: float
 
     def __post_init__(self) -> None:
-        require_positive("temperature_T", self.temperature_T)
-        require_positive("nu1", self.nu1)
-        require_positive("p0_count", self.p0_count)
-        if not (0 <= self.p_info < self.p0_count):
-            raise InvalidInputError("p_info must satisfy 0 <= p_info < p0_count")
+        require_positive("b", self.b)
+        if not (0 <= self.info_fraction < 1):
+            raise InvalidInputError("info_fraction must satisfy 0 <= f < 1")
 
 
 def brillouin_balance(
@@ -158,15 +125,14 @@ def brillouin_balance(
 ) -> dict[str, Any]:
     """Entropy balance of one illuminated detection.
 
-    dS_demon = h nu_1 / T is injected by the probe photon; the information
-    gained shrinks the microstate count from P0 to P0 - p, worth
-    dS_gas = k ln((P0 - p)/P0) exactly, ~ -k p / P0 to first order. Both
-    forms are reported; the net uses the exact one.
+    dS_demon = h nu_1 / T = k b is injected by the probe photon; the
+    information gained shrinks the microstate count from P0 to P0 - p, worth
+    dS_gas = k ln(1 - f) exactly, ~ -k f to first order. Both forms are
+    reported; the net uses the exact one.
     """
-    ds_demon = units.h * spec.nu1 / spec.temperature_T
-    frac = spec.p_info / spec.p0_count
-    ds_gas_exact = units.k * math.log1p(-frac)
-    ds_gas_approx = -units.k * frac
+    ds_demon = require_positive(f"k b of b={spec.b!r}, {units}", units.k * spec.b, least=0.0)
+    ds_gas_exact = units.k * math.log1p(-spec.info_fraction)
+    ds_gas_approx = -units.k * spec.info_fraction
     return {
         "dS_demon": ds_demon,
         "dS_gas_exact": ds_gas_exact,

@@ -195,7 +195,7 @@ def test_criterion_07_einstein_fluctuation():
     # exact identity exp(dS/k) == W
     for _ in range(200):
         spec = fl.FluctuationSpec(
-            float(rng.uniform(1.0, 40.0)), float(rng.uniform(0.02, 1.0)), 1.0
+            float(rng.uniform(1.0, 40.0)), float(rng.uniform(0.02, 1.0))
         )
         ok &= abs(
             math.exp(fl.gas_entropy_change(spec)) - fl.fluctuation_probability(spec)
@@ -203,7 +203,7 @@ def test_criterion_07_einstein_fluctuation():
     # Monte-Carlo frequencies across the stated grid
     for seed_offset, n in enumerate((1, 3, 5, 10)):
         for ratio in (0.3, 0.5):
-            spec = fl.FluctuationSpec(n, ratio, 1.0)
+            spec = fl.FluctuationSpec(n, ratio)
             expected = fl.fluctuation_probability(spec)
             emp = fl.monte_carlo_fluctuation(spec, 1_000_000, rng_seed=70 + seed_offset)
             ok &= abs(emp - expected) <= binomial_3sigma(expected, 1_000_000)
@@ -275,9 +275,7 @@ def test_criterion_11_brillouin_balance():
     worst_rel = 0.0
     for b in np.geomspace(1.0, 1e3, 25):
         for frac in (0.0, 1e-6, 1e-5, 1e-4, 1e-3):
-            spec = fl.BrillouinSpec(
-                temperature_T=1.0, nu1=float(b), p0_count=1.0, p_info=frac
-            )
+            spec = fl.BrillouinSpec(b=float(b), info_fraction=frac)
             balance = fl.brillouin_balance(spec)
             ok &= balance["net"] > 0.0
             if frac > 0.0:

@@ -513,6 +513,31 @@ FUZZ_FINDINGS = {
     "szilard-net-work-overflow": ["szilard", "--cycles", "3", "--temperature", "1e308"],
 }
 
+#: Zero-means-unset keys: the argv that reads each, and a value below zero. Such a value, or
+#: NaN, once ran as if unset and exited 0; now its one error line names the key.
+UNSET_SENTINELS = {
+    "brillouin_b": (["einstein"], "-5"),
+    "energy": (["einstein", "--frequency", "1"], "-1"),
+    "frequency": (["einstein", "--energy", "1"], "-1"),
+    "door": (["speed-demon"], "-1"),
+    "nu_low": (["speed-demon"], "-3"),
+    "box_length": (["qiur"], "-1"),
+    "t_max": (["h-theorem"], "-2"),
+}
+
+
+def setting(key: str, value: str) -> list[str]:
+    """The argv of UNSET_SENTINELS that sets key to value."""
+    return [*UNSET_SENTINELS[key][0], "--" + key.replace("_", "-"), value]
+
+
+SENTINEL_FINDINGS = {
+    f"{argv[0]}-{kind}-{key.replace('_', '-')}": (key, setting(key, value))
+    for key, (argv, negative) in UNSET_SENTINELS.items()
+    for kind, value in (("negative", negative), ("nan", "nan"))
+}
+FUZZ_FINDINGS.update({name: argv for name, (_key, argv) in SENTINEL_FINDINGS.items()})
+
 
 class TestMomentumGridAndFuzzFindings:
     @pytest.mark.parametrize("argv", MOMENTUM_GRID_ERRORS.values(), ids=MOMENTUM_GRID_ERRORS)
@@ -525,13 +550,24 @@ class TestMomentumGridAndFuzzFindings:
         assert "UnitSystem(" in lines[0] and "h=" in lines[0], lines[0]
         assert "position spacing" in lines[0], lines[0]
 
-    @pytest.mark.parametrize("argv", FUZZ_FINDINGS.values(), ids=FUZZ_FINDINGS)
-    def test_fuzz_finding_ends_in_one_error_line(self, argv, capsys):
+    @pytest.mark.parametrize("name, argv", FUZZ_FINDINGS.items(), ids=FUZZ_FINDINGS)
+    def test_fuzz_finding_ends_in_one_error_line(self, name, argv, capsys):
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: "), lines
+        if name in SENTINEL_FINDINGS:
+            assert f": error: {SENTINEL_FINDINGS[name][0]} must be " in lines[0], lines[0]
+
+    @pytest.mark.parametrize("key", UNSET_SENTINELS)
+    def test_zero_still_means_unset(self, key, capsys):
+        results = []
+        for argv in (UNSET_SENTINELS[key][0], setting(key, "0"), setting(key, "-0.0")):
+            code = cli.main(argv)
+            report = json.loads(capsys.readouterr().out)
+            results.append((code, report["derived"], report["verdicts"]))
+        assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("argv", [["qiur", "--h", "1e308"],
                                       ["qiur", "--input", WAVEFN, "--h", "1e307"]],

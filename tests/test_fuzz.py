@@ -7,7 +7,8 @@ each int flag is also driven alone at -1, 0, 1 and far past every count limit.
 The run must exit 0, 1 or 2 without an exception; a failure writes exactly one
 ``demonlab <scenario>: error:`` or ``demonlab: error:`` line and nothing else;
 stdout is empty or JSON with no NaN or Infinity. No warning may escape, except
-the speed-demon probe's documented gentle-probe UserWarning.
+the speed-demon probe's documented gentle-probe UserWarning. A zero-means-unset
+flag (0.0 or -0.0 keeps its default) set below zero or to NaN must not exit 0.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ FLOATS = st.one_of(
 )
 
 
+#: Keys whose 0.0 means "unset": below zero or NaN they must be refused, not dropped.
+UNSET_KEYS = {"t_max", "box_length", "nu_low", "door", "energy", "frequency", "brillouin_b"}
+
 #: Each is refused by its count's range, or small enough to run in a moment.
 INT_EXTREMES = [-1, 0, 1, 10**11, 2**63, 10**30]
 
@@ -84,6 +88,10 @@ def escape(scenario: str, argv: list[str]) -> str | None:
             code = cli.main(argv)
     if code not in (0, 1, 2):
         return f"exit {code}"
+    for arg in argv:
+        flag, _, value = arg.partition("=")
+        if code == 0 and flag[2:].replace("-", "_") in UNSET_KEYS and not float(value) >= 0.0:
+            return f"exit 0 with {arg}"
     for w in caught:
         if not (scenario == "speed-demon" and "gentle-probe" in str(w.message)):
             return f"{w.category.__name__}: {w.message}"

@@ -413,6 +413,7 @@ class TestEntropyReportAndCsv:
         path.write_text("\n".join(rows) + "\n")
         loaded = qiur.wavefunction_from_csv(path)
         assert loaded.n == psi.n
+        assert loaded.origin == psi.origin
         assert loaded.spacing == pytest.approx(psi.spacing, rel=1e-12)
         assert np.max(np.abs(loaded.amps - psi.amps)) < 1e-12
 
