@@ -9,11 +9,14 @@ deep enough into the central-limit regime. The module needs numpy alone:
 the Gaussian CDF of the few bin edges comes from math.erfc.
 
 The walk is drawn in blocks of ceil(2**16 / W) steps for W walkers, one generator call
-per block. The +-1 walk counts each walker's +1 steps B in int32 (x = 2 B - t), and
-sum x = 2 sum B - W t and sum x^2 = 4 sum B^2 - 4 t sum B + W t^2 are float64 sums of
-whole numbers: exact, so equal to the float walk's bit for bit, while W t^2 < 2**53.
-A block of k +-1 steps takes one step from each bit of ceil(k W / 64) raw PCG64 words, 1 a
-+1 step and 0 a -1 step: every bit of a PCG64 output is of full quality (O'Neill 2014).
+per block, at O(W) a step. The +-1 walk counts each walker's +1 steps B in int32
+(x = 2 B - t), and sum x = 2 sum B - W t and sum x^2 = 4 sum B^2 - 4 t sum B + W t^2 are
+float64 sums of whole numbers: exact, so equal to the float walk's bit for bit, while
+W t^2 < 2**53. A block of k +-1 steps takes one step from each bit of ceil(k W / 64) raw
+PCG64 words, 1 a +1 step and 0 a -1 step: every bit of a PCG64 output is of full quality
+(O'Neill 2014). From 2**16 +-1 walkers up, the walkers are int64 counts n_b per value b of
+B, and Binomial(n_b, 1/2) of them step up: the same law, as they are exchangeable, at
+O(occupied sites) a step, by numpy's exact sampler (Kachitvichyanukul & Schmeiser 1988).
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ BLOCK_DRAWS = 2**16
 class WalkSpec:
     """Ensemble walk parameters; sigma_step applies to the Gaussian law only."""
 
-    #: A larger walk would not fit in memory or time: +-1 counts are int32, a draw takes 3 ns.
+    #: A larger walk would not fit in memory or time: a step costs O(W) below 2**16 walkers
+    #: (+-1 counts are int32, a draw takes 3 ns) and O(occupied sites) for +-1 walkers above.
     MAX_STEPS, MAX_WALKERS, MAX_DRAWS = 10**7, 10**7, 10**9
 
     n_steps: int
@@ -69,11 +73,14 @@ class WalkSpec:
         return 1.0 if self.step_law == STEP_PLUS_MINUS_ONE else self.sigma_step**2
 
 
-def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int) -> np.ndarray:
+def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int | np.ndarray) -> np.ndarray:
     """The next k steps of every walker, one row each: float64 Gaussian steps, or int32 1 for
     a +1 step and 0 for a -1 step. A (k, W) normal draw fills in C order, so it equals k row
     draws. The +-1 steps are the bits of ceil(k W / 64) raw PCG64 words, each word read from
-    its least significant bit up, the words in order; the bits left in the last word go unused."""
+    its least significant bit up, the words in order; the bits left in the last word go unused.
+    Given an array k of walkers at each site instead: how many of each step up (0 draws none)."""
+    if isinstance(k, np.ndarray):
+        return rng.binomial(k, 0.5)
     if spec.step_law == STEP_GAUSSIAN:
         return rng.normal(0.0, spec.sigma_step, size=(k, spec.n_walkers))
     n = k * spec.n_walkers
@@ -82,11 +89,21 @@ def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int) -> np.ndarray:
     return bits.astype(np.int32).reshape(k, spec.n_walkers)
 
 
-def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
-    """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block), row i
-    the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B, kept
-    in int32 and copied into one buffer that the next block overwrites."""
+def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block, None),
+    row i the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B,
+    kept in int32 and copied into one buffer that the next block overwrites. From BLOCK_DRAWS +-1
+    walkers up, per step: the occupied B as one row, its walkers as weights (in int64)."""
     rng = np.random.default_rng(spec.rng_seed)
+    if spec.step_law == STEP_PLUS_MINUS_ONE and spec.n_walkers >= BLOCK_DRAWS:
+        counts, lo, hi = np.r_[spec.n_walkers, np.zeros(spec.n_steps, np.int64)], 0, 1
+        for t0 in range(spec.n_steps):
+            up = _draw_steps(spec, rng, counts[lo:hi])
+            counts[lo:hi] -= up
+            counts[lo + 1 : hi + 1] += up
+            lo, hi = lo + int(counts[lo] == 0), hi + int(counts[hi] > 0)  # by one site at most
+            yield t0, np.arange(lo, hi)[None], counts[lo:hi]
+        return
     k = -(-BLOCK_DRAWS // spec.n_walkers)
     last = np.zeros(spec.n_walkers, dtype=float if spec.step_law == STEP_GAUSSIAN else np.int32)
     mirror = np.empty((min(k, spec.n_steps), spec.n_walkers))
@@ -98,7 +115,7 @@ def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
         if spec.step_law == STEP_PLUS_MINUS_ONE:
             np.copyto(mirror[: len(block)], block)
             block = mirror[: len(block)]
-        yield t0, block
+        yield t0, block, None
 
 
 @dataclass(frozen=True)
@@ -145,10 +162,12 @@ def simulate_walks(spec: WalkSpec) -> DiffusionReport:
     n, w = spec.n_steps, spec.n_walkers
     times = np.arange(n + 1, dtype=float)
     sums, squares = np.zeros(n + 1), np.zeros(n + 1)
-    for t0, block in _walk(spec):
+    for t0, block, weights in _walk(spec):
         rows = slice(t0 + 1, t0 + 1 + len(block))
-        sums[rows] = block.sum(axis=1)
-        if spec.step_law == STEP_GAUSSIAN:
+        sums[rows] = block.sum(axis=1) if weights is None else block @ weights
+        if weights is not None:  # sum B^2 over the walkers, exact in int64
+            squares[rows] = (block * block) @ weights
+        elif spec.step_law == STEP_GAUSSIAN:
             squares[rows] = (block * block).sum(axis=1)
         else:  # by BLAS: whole numbers below 2**53 add exactly in any order
             squares[rows] = (block[:, None, :] @ block[:, :, None]).ravel()
@@ -206,7 +225,7 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int) -> HistogramReport:
             f"insufficient walkers: need >= {HISTOGRAM_MIN_WALKERS} for the histogram"
         )
 
-    x = next(block[t - t0 - 1] for t0, block in _walk(spec) if t <= t0 + len(block))
+    x, weights = next((b[t - t0 - 1], w) for t0, b, w in _walk(spec) if t <= t0 + len(b))
     sigma = math.sqrt(t * spec.step_variance)
     window = 4.0 * sigma
 
@@ -220,7 +239,7 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int) -> HistogramReport:
     else:
         edges = np.linspace(-window, window, HISTOGRAM_BINS + 1)
 
-    observed, _ = np.histogram(x, bins=edges.astype(x.dtype))  # +-1 edges are whole numbers
+    observed, _ = np.histogram(x, bins=edges.astype(x.dtype), weights=weights)  # whole edges
     cdf = [0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (edges / sigma).tolist()]
     expected = spec.n_walkers * np.diff(cdf)
     chi2 = float(np.sum((observed - expected) ** 2 / expected))

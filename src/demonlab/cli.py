@@ -329,6 +329,7 @@ def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     else:
         spec = fluct.FluctuationSpec(params["n_components"], ratio)
     b = require_positive("brillouin_b", params["brillouin_b"], least=0.0)
+    fluct.require_info_fraction(params["info_fraction"])  # also where b = 0 leaves it unread
     brillouin = fluct.BrillouinSpec(b, params["info_fraction"]) if b > 0 else None
     derived, verdicts = fluct.fluctuation_report(spec, params["trials"], seed, brillouin, units)
     return derived, verdicts, None

@@ -25,9 +25,32 @@ def pm1_bits(rng: np.random.Generator, n: int) -> list[int]:
     return [(int(word) >> j) & 1 for word in words for j in range(64)][:n]
 
 
+def reference_counts(
+    spec: br.WalkSpec, rng: np.random.Generator | None = None
+) -> Iterator[dict[int, int]]:
+    """The counted +-1 walk by Python ints: after each step, the walkers by their number b of
+    +1 steps, occupied sites only. Each step first draws, by one scalar rng.binomial call per
+    occupied site in ascending b, how many walkers step up from it, and then moves them."""
+    rng = np.random.default_rng(spec.rng_seed) if rng is None else rng
+    counts = {0: spec.n_walkers}
+    for _ in range(spec.n_steps):
+        up = {b: int(rng.binomial(n, 0.5)) for b, n in sorted(counts.items())}
+        for b, n in up.items():
+            counts[b] -= n
+            counts[b + 1] = counts.get(b + 1, 0) + n
+        counts = {b: n for b, n in counts.items() if n}
+        yield counts
+
+
 def reference_walk(spec: br.WalkSpec) -> Iterator[np.ndarray]:
-    """The float walk: positions after each step, one array updated in place. The +-1
-    steps of each block of ceil(BLOCK_DRAWS / W) steps are the bits of its own words."""
+    """The walk by plain loops: positions after each step. From 2**16 +-1 walkers up, the
+    positions x = 2 b - t of reference_counts, in no set order. Otherwise the float walk, one array
+    updated in place; the +-1 steps of each block of ceil(BLOCK_DRAWS / W) steps are the bits
+    of its own words."""
+    if spec.step_law == br.STEP_PLUS_MINUS_ONE and spec.n_walkers >= br.BLOCK_DRAWS:
+        for t, counts in enumerate(reference_counts(spec), 1):
+            yield np.repeat([2.0 * b - t for b in counts], list(counts.values()))
+        return
     rng = np.random.default_rng(spec.rng_seed)
     x = np.zeros(spec.n_walkers)
     k = math.ceil(br.BLOCK_DRAWS / spec.n_walkers)
@@ -211,18 +234,22 @@ class TestSimulateWalks:
 
 class TestIntegerWalk:
     """The block kernel (counts of +1 steps, Gaussian positions) must match the float walk
-    bit for bit; ceil(BLOCK_DRAWS / W) steps fill a block."""
+    bit for bit; ceil(BLOCK_DRAWS / W) steps fill a block. From 2**16 +-1 walkers up, the
+    walk by counts per site must match reference_counts bit for bit."""
 
     @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
     @pytest.mark.parametrize("steps, walkers", [
         (1, 7), (19, 1001), (20, 20001), (300, 4096),
         (67, 1001),  # one step past the first block of 66
-        (3, 65537),  # one step a block, 63 bits of its last word unused
+        (5, 65535),  # the most walkers of the +-1 block kernel: blocks of two steps
+        (60, 65536),  # the fewest +-1 walkers counted per site; Gaussian: one step a block
+        (3, 65537),  # Gaussian: one step a block
+        (40, 100_000),
         (2 * 21846 + 1, 3),  # three blocks, the last of one step
         (1000, 1),
     ])
     @pytest.mark.parametrize("seed", [0, 17])
-    def test_moments_equal_the_float_walk(self, steps, walkers, law, seed):
+    def test_moments_equal_the_reference_walk(self, steps, walkers, law, seed):
         spec = br.WalkSpec(steps, walkers, seed, step_law=law, sigma_step=1.7)
         moments = [(x.mean(), np.mean(x * x)) for x in reference_walk(spec)]
         mean, msd = np.array([(0.0, 0.0), *moments]).T
@@ -261,7 +288,7 @@ class TestIntegerWalk:
         assert within_4sigma(steps.reshape(-1, 64).mean(axis=0), steps.size // 64)
         assert within_4sigma(np.mean(steps[1:] == steps[:-1]), steps.size - 1)
 
-    @pytest.mark.parametrize("steps, walkers", [(67, 1001), (4, 65537), (3, 1)])
+    @pytest.mark.parametrize("steps, walkers", [(67, 1001), (4, 65535), (3, 1)])
     def test_pm1_walk_leaves_the_state_of_integers(self, steps, walkers, monkeypatch):
         draw, used = br._draw_steps, []
 
@@ -282,7 +309,7 @@ class TestIntegerWalk:
         # blocks hold the counts B of +1 steps; x = 2 B - t in int64 is the float walk
         spec = br.WalkSpec(70, 1001, 3)
         ref = reference_walk(spec)
-        for t0, block in br._walk(spec):
+        for t0, block, _ in br._walk(spec):
             for t, counts in enumerate(block, t0 + 1):
                 x = 2 * counts.astype(np.int64) - t
                 assert np.array_equal(x % 2, np.full(1001, t % 2))
@@ -300,12 +327,58 @@ class TestIntegerWalk:
         assert np.array_equal(report.observed, observed)
 
     @pytest.mark.parametrize("law", [br.STEP_PLUS_MINUS_ONE, br.STEP_GAUSSIAN])
-    def test_histogram_counts_the_float_walk_at_step_t(self, law):
+    def test_histogram_counts_the_reference_walk_at_step_t(self, law):
         spec = br.WalkSpec(60, 100_000, 21, step_law=law, sigma_step=0.8)
         x = next(islice(reference_walk(spec), 39, None))
         report = br.histogram_vs_gaussian(spec, 40)
         observed, _ = np.histogram(x, bins=report.bin_edges)
         assert np.array_equal(report.observed, observed)
+
+
+class TestCountedWalk:
+    """From 2**16 +-1 walkers up the walk runs as counts of walkers per site."""
+
+    @pytest.mark.parametrize("steps, walkers", [(4, 65537), (200, 65536)])
+    def test_one_draw_a_step_leaves_the_state_of_the_reference(self, steps, walkers, monkeypatch):
+        draw, used = br._draw_steps, []
+
+        def recording(spec, rng, k):
+            used.append(rng)
+            return draw(spec, rng, k)
+
+        monkeypatch.setattr(br, "_draw_steps", recording)
+        spec = br.WalkSpec(steps, walkers, 5)
+        br.simulate_walks(spec)
+        ref = np.random.default_rng(5)
+        for _ in reference_counts(spec, ref):
+            pass
+        assert len(used) == steps
+        assert used[-1].bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("steps, walkers", [(300, 65536), (60, 10**7)])
+    def test_each_step_holds_the_reference_counts_in_a_tight_window(self, steps, walkers):
+        # each step yields one row of the values b of B from the lowest occupied to the highest,
+        # and the walkers at each: those of reference_counts, all W of them, at b <= t
+        spec = br.WalkSpec(steps, walkers, 3)
+        ref = reference_counts(spec)
+        for t, (t0, block, weights) in enumerate(br._walk(spec), 1):
+            assert t0 == t - 1 and block.shape == (1, len(weights))
+            assert weights.dtype == np.int64 and weights.sum() == walkers
+            assert weights[0] > 0 and weights[-1] > 0 and 0 <= block[0, 0] <= block[0, -1] <= t
+            assert np.all((2 * block - t) % 2 == t % 2)
+            occupied = {b: n for b, n in zip(block[0].tolist(), weights.tolist()) if n}
+            assert occupied == next(ref)
+        assert t == steps
+
+    def test_final_positions_follow_the_binomial_law(self):
+        # 6 steps of 2**16 walkers over 8 seeds: the number of +1 steps is Binomial(6, 1/2)
+        observed = np.zeros(7, dtype=np.int64)
+        for seed in range(8):
+            *_, (_t0, block, weights) = br._walk(br.WalkSpec(6, 2**16, seed))
+            observed[block[0]] += weights
+        expected = 8 * 2**16 * np.array([math.comb(6, b) for b in range(7)]) / 64
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 <= 22.458  # the 0.999 quantile of chi-squared with 6 degrees of freedom
 
 
 class TestHistogramVsGaussian:

@@ -252,6 +252,8 @@ NAMED_ERRORS = {
     "cycles-over-limit": (["szilard", "--cycles", str(szilard.MAX_CYCLES + 1)], ["n_cycles"]),
     "steps-huge": (["brownian", "--steps", str(10**11)], ["n_steps"]),
     "walkers-huge": (["brownian", "--steps", "1", "--walkers", str(10**11)], ["n_walkers"]),
+    "info-fraction-unread": (["einstein", "--info-fraction", "5", "--trials", "0"],
+                             ["info_fraction"]),
 }
 
 
@@ -511,6 +513,8 @@ FUZZ_FINDINGS = {
     "speed-demon-door-underflow": ["speed-demon", "--h", "2.2250738585072014e-308",
                                    "--temperature", "1e300", "--nu-low", "500", "--door", "1"],
     "szilard-net-work-overflow": ["szilard", "--cycles", "3", "--temperature", "1e308"],
+    "einstein-brillouin-gas-overflow": ["einstein", "--brillouin-b", "1", "--info-fraction",
+                                        "0.9999999999999999", "--k", "1e307", "--trials", "0"],
 }
 
 #: Zero-means-unset keys: the argv that reads each, and a value below zero. Such a value, or

@@ -162,6 +162,16 @@ class TestMonteCarloFluctuation:
         with pytest.raises(InvalidInputError):
             fl.monte_carlo_fluctuation(fl.FluctuationSpec(3, 0.5), 9_999, 0)
 
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_counts_the_rows_whose_largest_draw_is_inside(self, n):
+        # two full chunks and a partial one, each counted by its row maxima
+        trials, ratio = 2 * fl._MC_CHUNK + 1001, 0.5 ** (1 / n)
+        rng, hits = np.random.default_rng(9), 0
+        for chunk in (fl._MC_CHUNK, fl._MC_CHUNK, 1001):
+            hits += int(np.count_nonzero(rng.random((chunk, n)).max(axis=1) < ratio))
+        spec = fl.FluctuationSpec(n, ratio)
+        assert fl.monte_carlo_fluctuation(spec, trials, rng_seed=9) == hits / trials
+
     def test_determinism(self):
         spec = fl.FluctuationSpec(4, 0.4)
         a = fl.monte_carlo_fluctuation(spec, 50_000, rng_seed=7)
@@ -203,10 +213,19 @@ class TestBrillouinBalance:
                 assert balance["net_approx"] > 0.0
 
     def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            fl.BrillouinSpec(1.0, 1.0)  # p == P0
+        for f in (1.0, -0.5, math.nan):  # 1.0 is p == P0
+            with pytest.raises(InvalidInputError, match=rf"^info_fraction must .* got {f}$"):
+                fl.BrillouinSpec(1.0, f)
         with pytest.raises(InvalidInputError):
             fl.BrillouinSpec(-1.0, 0.0)
+
+    def test_overflowing_gas_change_names_f_and_the_units(self):
+        # k ln(1 - f) is about -36.7 k at the largest f below 1
+        spec = fl.BrillouinSpec(1.0, 0.9999999999999999)
+        assert math.isfinite(fl.brillouin_balance(spec, UnitSystem(k=1e306))["dS_gas_exact"])
+        message = r"^-k ln\(1 - f\) of f=0.9999999999999999, UnitSystem\(k=1e\+307, h=1.0\)"
+        with pytest.raises(InvalidInputError, match=message):
+            fl.brillouin_balance(spec, UnitSystem(k=1e307))
 
 
 class TestFluctuationReport:
