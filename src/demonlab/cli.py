@@ -206,6 +206,12 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(scenario=scenario, params=params)
 
 
+def _refuse_unread(params: dict, scenario: str, branch: str, *keys: str) -> None:
+    """Refuse each of keys that is set away from its default, which branch never reads."""
+    if unread := [key for key in keys if params[key] != SCENARIO_PARAMS[scenario][key][1]]:
+        raise InvalidInputError(f"{', '.join(unread)} set but not read {branch}")
+
+
 #: (derived values, verdicts, the report that owns the CSV table or None).
 RunnerResult = tuple[dict[str, Any], dict[str, bool], Any]
 
@@ -270,8 +276,10 @@ def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
 
     box_length = require_positive("box_length", params["box_length"], least=0.0)
     if params["input"]:
+        _refuse_unread(params, "qiur", "with input", "sigma_x", "box_length", "grid_n")
         psi = qiur.wavefunction_from_csv(params["input"])
     elif box_length > 0:
+        _refuse_unread(params, "qiur", "with box_length", "sigma_x")
         psi = qiur.box_ground_state(box_length, n=params["grid_n"], units=units)
     else:
         psi = qiur.gaussian_packet(params["sigma_x"], n=params["grid_n"])
@@ -325,11 +333,14 @@ def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     energy = require_positive("energy", params["energy"], least=0.0)
     frequency = require_positive("frequency", params["frequency"], least=0.0)
     if energy > 0 and frequency > 0:
+        _refuse_unread(params, "einstein", "with energy and frequency", "n_components")
         spec = fluct.FluctuationSpec.from_radiation(energy, frequency, ratio, units)
     else:
+        _refuse_unread(params, "einstein", "if energy or frequency is 0", "energy", "frequency")
         spec = fluct.FluctuationSpec(params["n_components"], ratio)
     b = require_positive("brillouin_b", params["brillouin_b"], least=0.0)
-    fluct.require_info_fraction(params["info_fraction"])  # also where b = 0 leaves it unread
+    if b == 0:
+        _refuse_unread(params, "einstein", "without brillouin_b", "info_fraction")
     brillouin = fluct.BrillouinSpec(b, params["info_fraction"]) if b > 0 else None
     derived, verdicts = fluct.fluctuation_report(spec, params["trials"], seed, brillouin, units)
     return derived, verdicts, None

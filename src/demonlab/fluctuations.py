@@ -115,13 +115,8 @@ class BrillouinSpec:
 
     def __post_init__(self) -> None:
         require_positive("b", self.b)
-        require_info_fraction(self.info_fraction)
-
-
-def require_info_fraction(f: float) -> None:
-    """Raise InvalidInputError unless 0 <= f < 1 (NaN never passes)."""
-    if not 0 <= f < 1:
-        raise InvalidInputError(f"info_fraction must satisfy 0 <= f < 1, got {f!r}")
+        if not 0 <= (f := self.info_fraction) < 1:  # NaN never passes
+            raise InvalidInputError(f"info_fraction must satisfy 0 <= f < 1, got {f!r}")
 
 
 def brillouin_balance(

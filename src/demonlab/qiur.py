@@ -12,10 +12,11 @@ wavefunction is the hbar-scaled Fourier transform
     phi(p) = (2*pi*hbar)^(-1/2) int psi(x) exp(-i p x / hbar) dx,
 
 discretized here so that Parseval holds exactly on the grid (dp * N * dx =
-h). Differential entropies are reported in nats relative to the unit
-length/momentum of the active UnitSystem; individual values shift under
-unit changes, but the joint sum against ln(he/2) is invariant, and that sum
-is the physical object.
+h). A real psi has an even |phi|, |phi_{N-k}| = |phi_k|, so its entropy takes a
+half-length real FFT. Differential entropies are reported in nats relative to
+the unit length/momentum of the active UnitSystem; individual values shift
+under unit changes, but the joint sum against ln(he/2) is invariant, and that
+sum is the physical object.
 
 Everything is pure and value-semantic; scratch buffers are per-call.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,34 +36,36 @@ from .units import NATURAL_UNITS, UnitSystem
 #: Grid sizes for entropy work: coarser grids alias badly, finer ones outgrow memory.
 MIN_GRID_POINTS, MAX_GRID_POINTS = 64, 2**22
 
-_NORM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Complex amplitudes on the points origin + j*spacing, normalized on the grid.
+    """Real or complex amplitudes on the points origin + j*spacing, normalized on the grid.
 
     A position wavefunction psi(x_j) and its momentum counterpart phi(p_k)
-    are both Grids.
+    are both Grids. Real amplitudes are copied as float64, others as complex128; _owned
+    takes as is an array that a builder here or to_momentum made and guarded itself.
     """
 
     origin: float
     spacing: float
     amps: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        a = np.array(self.amps, dtype=complex)
-        if a.ndim != 1:
-            raise InvalidInputError("grid amplitudes must be one-dimensional")
-        require_count("grid points", a.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
-        require_positive("grid spacing", self.spacing)
-        if not math.isfinite(self.origin):
-            raise InvalidInputError(f"grid origin must be finite, got {self.origin!r}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("grid amplitudes contain non-finite values")
-        norm = np.sum(np.abs(a) ** 2) * self.spacing
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise InvalidInputError(f"wavefunction not normalized: sum |amp|^2 d = {norm!r}")
+    def __post_init__(self, _owned: bool) -> None:
+        a = self.amps
+        if not _owned:
+            a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+            if a.ndim != 1:
+                raise InvalidInputError("grid amplitudes must be one-dimensional")
+            require_count("grid points", a.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
+            require_positive("grid spacing", self.spacing)
+            if not math.isfinite(self.origin):
+                raise InvalidInputError(f"grid origin must be finite, got {self.origin!r}")
+            if not np.all(np.isfinite(a)):
+                raise InvalidInputError("grid amplitudes contain non-finite values")
+            norm = np.sum(np.abs(a) ** 2) * self.spacing
+            if abs(norm - 1.0) > 1e-10:
+                raise InvalidInputError(f"wavefunction not normalized: sum |amp|^2 d = {norm!r}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
@@ -78,15 +81,13 @@ class Grid:
         return np.abs(self.amps) ** 2
 
 
-def _normalized(source: str, origin: float, spacing: float, amps: np.ndarray) -> Grid:
-    """Grid of amps / sqrt(sum |amps|^2 * spacing), dividing the complex amps in place.
-
-    source names the input in the error for a zero or non-finite norm.
-    """
+def _normalized(source: str, spacing: float, amps: np.ndarray) -> np.ndarray:
+    """amps / sqrt(sum |amps|^2 * spacing), divided in place; source names the input in the
+    error for a zero or non-finite norm, and a finite norm means finite amps."""
     with np.errstate(over="ignore"):
         norm = float(np.sum(np.abs(amps) ** 2) * spacing)
     amps /= math.sqrt(require_positive(f"the norm of {source}'s amplitudes on the grid", norm))
-    return Grid(origin, spacing, amps)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,15 @@ class GaussianState:
         require_positive("sigma_p", self.sigma_p)
 
 
-def _spectrum(psi: Grid, units: UnitSystem) -> tuple[float, float, np.ndarray]:
-    """(p_0, dp, amplitudes) of to_momentum without its origin phase, which |phi|^2 never sees."""
-    hbar = units.hbar
+def _spectrum(psi: Grid, units: UnitSystem, half: bool = False) -> tuple[float, float, np.ndarray]:
+    """(p_0, dp, amplitudes) of to_momentum without its origin phase, which |phi|^2 never sees:
+    the FFT centred by a roll of N//2 (DFT shift theorem), or with half the rfft bins 0 .. N//2."""
     source = f"{units} and the position spacing {psi.spacing!r}"
     # a normal dp keeps |phi|^2 <= 1/dp finite
-    dp = 2.0 * math.pi * hbar / (psi.n * psi.spacing)
+    dp = 2.0 * math.pi * units.hbar / (psi.n * psi.spacing)
     require_positive(f"the momentum spacing of {source}", dp, least=NORMAL)
-    spectrum = np.fft.fftshift(np.fft.fft(psi.amps))  # DFT shift theorem: a roll by N//2 centres it
-    spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * hbar)
+    spectrum = np.fft.rfft(psi.amps) if half else np.fft.fftshift(np.fft.fft(psi.amps))
+    spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)
     # rho ln rho is summed before dp scales it: sum rho = 1/dp, rho up to max |amps|^2 >= 1/(n dp)
     peak = float(np.abs(spectrum).max()) ** 2
     require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
@@ -130,7 +131,7 @@ def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
     phase = np.empty(psi.n, dtype=complex)
     np.cos(angle, out=phase.real)
     np.sin(angle, out=phase.imag)
-    return Grid(origin=p0, spacing=dp, amps=spectrum * phase)
+    return Grid(p0, dp, np.multiply(spectrum, phase, out=spectrum), True)
 
 
 def differential_entropy(density: np.ndarray, spacing: float) -> float:
@@ -139,13 +140,16 @@ def differential_entropy(density: np.ndarray, spacing: float) -> float:
     if rho.ndim != 1:
         raise InvalidInputError("density must be one-dimensional")
     require_positive("spacing", spacing)
-    if np.any(rho < 0) or not np.all(np.isfinite(rho)):
-        raise InvalidInputError("density must be finite and nonnegative")
     total = rho.sum() * spacing
+    # a NaN or negative entry shows in the min (0 if empty), a +inf one in the total
+    if not rho.min(initial=0.0) >= 0 or (math.isinf(total) and not np.isfinite(rho).all()):
+        raise InvalidInputError("density must be finite and nonnegative")
     if abs(total - 1.0) > 1e-8:
         raise InvalidInputError(f"density not normalized: integral = {total!r}")
-    pos = rho[rho > 0.0]
-    return float(-np.sum(pos * np.log(pos)) * spacing)
+    terms = np.maximum(rho, math.ulp(0.0))  # rho ln rho, in place; 0 ln(ulp) = 0
+    np.log(terms, out=terms)
+    terms *= rho
+    return float(-terms.sum() * spacing)
 
 
 def gaussian_information(sigma: float) -> float:
@@ -171,18 +175,15 @@ def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float
 
 def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     """I_x, I_p, their sum, the bound, and whether the bound is satisfied."""
-    _, dp, spectrum = _spectrum(psi, units)
     i_x = differential_entropy(psi.density(), psi.spacing)
-    i_p = differential_entropy(np.abs(spectrum) ** 2, dp)
-    bound = qiur_bound(units)
-    joint = i_x + i_p
-    return {
-        "I_x": i_x,
-        "I_p": i_p,
-        "joint": joint,
-        "bound": bound,
-        "satisfied": bool(joint >= bound - 1e-3),
-    }
+    _, dp, rho = _spectrum(psi, units, half=not np.iscomplexobj(psi.amps))
+    rho = np.abs(rho) ** 2
+    if rho.size < psi.n:  # to_momentum's order N//2 .. 1, 0, 1 .. (N-1)//2: |phi_{N-k}| = |phi_k|
+        rho = np.concatenate((rho[::-1], rho[1 : psi.n - rho.size + 1]))
+    i_p = differential_entropy(rho, dp)
+    bound, joint = qiur_bound(units), i_x + i_p
+    return {"I_x": i_x, "I_p": i_p, "joint": joint, "bound": bound,
+            "satisfied": bool(joint >= bound - 1e-3)}
 
 
 def gaussian_packet(sigma_x: float, *, n: int = 4096) -> Grid:
@@ -196,10 +197,14 @@ def gaussian_packet(sigma_x: float, *, n: int = 4096) -> Grid:
     require_count("grid points", n, MIN_GRID_POINTS, MAX_GRID_POINTS)
     dx = width / n
     x0 = -(n // 2) * dx
-    xs = x0 + dx * np.arange(n)
-    # a real exp cast to complex: the exp of a complex exponent costs twice as much
-    amps = (variance**-0.25 * np.exp(-(xs**2) / (4.0 * sigma_x**2))).astype(complex)
-    return _normalized("packet", x0, dx, amps)
+    amps = np.arange(n, dtype=float)  # in place: x_j, then -x_j^2 / (4 sigma_x^2), then psi
+    amps *= dx
+    amps += x0
+    amps *= amps
+    amps /= -4.0 * sigma_x**2
+    np.exp(amps, out=amps)
+    amps *= variance**-0.25
+    return Grid(x0, dx, _normalized("packet", dx, amps), True)
 
 
 def box_ground_state(length: float, n: int = 8192, units: UnitSystem = NATURAL_UNITS) -> Grid:
@@ -225,8 +230,8 @@ def box_ground_state(length: float, n: int = 8192, units: UnitSystem = NATURAL_U
         (xs >= 0.0) & (xs <= length),
         np.sqrt(2.0 / length) * np.sin(np.pi * np.clip(xs, 0.0, length) / length),
         0.0,
-    ).astype(complex)
-    return _normalized("box", x0, dx, amps)
+    )
+    return Grid(x0, dx, _normalized("box", dx, amps), True)
 
 
 def wavefunction_from_csv(path: str | Path) -> Grid:
@@ -260,4 +265,4 @@ def wavefunction_from_csv(path: str | Path) -> Grid:
     dx = float(steps[0])
     if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
         raise InvalidInputError(f"{path}: x column must be uniformly increasing")
-    return _normalized(str(path), float(x[0]), dx, re + 1j * im)
+    return Grid(float(x[0]), dx, _normalized(str(path), dx, re + 1j * im))

@@ -237,8 +237,11 @@ class TestExitContract:
         assert json.loads(out.read_text())["seed"] == 31
 
 
-#: Inputs whose derived quantities leave float64 range, and the names their
-#: error line must carry, by test id.
+WAVEFN = str(Path(__file__).with_name("golden") / "wavefn.csv")
+
+#: Inputs whose derived quantities leave float64 range, or that set a key away from
+#: its default where the chosen branch never reads it, and the names their error
+#: line must carry, by test id.
 NAMED_ERRORS = {
     "box-length-subnormal": (["qiur", "--box-length", "1e-320"], ["length"]),
     "box-length-overflow": (["qiur", "--box-length", "1e308"], ["length"]),
@@ -254,6 +257,15 @@ NAMED_ERRORS = {
     "walkers-huge": (["brownian", "--steps", "1", "--walkers", str(10**11)], ["n_walkers"]),
     "info-fraction-unread": (["einstein", "--info-fraction", "5", "--trials", "0"],
                              ["info_fraction"]),
+    "info-fraction-in-range-unread": (["einstein", "--info-fraction", "0.5"], ["info_fraction"]),
+    "energy-without-frequency": (["einstein", "--energy", "5"], ["energy"]),
+    "frequency-without-energy": (["einstein", "--frequency", "5"], ["frequency"]),
+    "n-components-with-radiation": (["einstein", "--energy", "5", "--frequency", "1",
+                                     "--n-components", "2"], ["n_components"]),
+    "input-with-sigma-x-and-grid-n": (["qiur", "--input", WAVEFN, "--sigma-x", "3",
+                                       "--grid-n", "128"], ["sigma_x", "grid_n"]),
+    "input-with-box-length": (["qiur", "--input", WAVEFN, "--box-length", "2"], ["box_length"]),
+    "box-length-with-sigma-x": (["qiur", "--box-length", "2", "--sigma-x", "3"], ["sigma_x"]),
 }
 
 
@@ -277,6 +289,7 @@ class TestErrorsAtSource:
             (["qiur", "--input"], "psi.csv", "x,re,im\n0,1e200,0\n1,1e200,0\n"),
             (["qiur", "--grid-n", "0"], None, None),
             (["qiur", "--box-length", "1", "--grid-n", "0"], None, None),
+            (["qiur", "--box-length", "2", "--config"], "qiur.cfg", "sigma_x = 3\n"),
             *((argv, None, None) for argv, _names in NAMED_ERRORS.values()),
         ],
         ids=[
@@ -284,7 +297,7 @@ class TestErrorsAtSource:
             "sigma-x-underflow", "rates-disconnected", "sigma-step-overflow",
             "sigma-step-underflow", "gamma-subnormal", "temperature-subnormal",
             "h-underflow", "csv-zero", "csv-norm-overflow", "grid-n-zero", "box-grid-n-zero",
-            *NAMED_ERRORS,
+            "config-key-unread", *NAMED_ERRORS,
         ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
@@ -487,8 +500,6 @@ class TestReproducibility:
         assert keys == sorted(keys)
 
 
-WAVEFN = str(Path(__file__).with_name("golden") / "wavefn.csv")
-
 #: Inputs whose momentum grid leaves float64 range; each error line names h (the
 #: UnitSystem) and the position spacing.
 MOMENTUM_GRID_ERRORS = {
@@ -521,8 +532,8 @@ FUZZ_FINDINGS = {
 #: NaN, once ran as if unset and exited 0; now its one error line names the key.
 UNSET_SENTINELS = {
     "brillouin_b": (["einstein"], "-5"),
-    "energy": (["einstein", "--frequency", "1"], "-1"),
-    "frequency": (["einstein", "--energy", "1"], "-1"),
+    "energy": (["einstein"], "-1"),
+    "frequency": (["einstein"], "-1"),
     "door": (["speed-demon"], "-1"),
     "nu_low": (["speed-demon"], "-3"),
     "box_length": (["qiur"], "-1"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from wavefns import (
     to_position,
 )
 
-from demonlab import qiur
+from demonlab import cli, qiur
 from demonlab.errors import InvalidInputError
 from demonlab.units import NATURAL_UNITS, UnitSystem
 
@@ -202,6 +203,33 @@ class TestDifferentialEntropy:
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidInputError):
             qiur.differential_entropy(np.ones(100), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300], ids=["nan", "inf", "negative"])
+    def test_refuses_a_non_finite_or_negative_entry(self, bad):
+        rho = np.full(100, 0.1)
+        rho[37] = bad
+        with pytest.raises(InvalidInputError, match=r"^density must be finite and nonnegative$"):
+            qiur.differential_entropy(rho, 0.1)
+
+    def test_refuses_a_two_dimensional_density(self):
+        with pytest.raises(InvalidInputError, match=r"^density must be one-dimensional$"):
+            qiur.differential_entropy(np.full((10, 10), 0.1), 0.1)
+
+    def test_a_finite_density_whose_sum_overflows_is_not_normalized(self):
+        # the inf total alone does not make an entry non-finite (numpy warns of the overflow)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInputError, match=r"^density not normalized: integral = "):
+                qiur.differential_entropy(np.full(4, 1e308), 1.0)
+
+    def test_an_empty_density_is_not_normalized(self):
+        with pytest.raises(InvalidInputError, match=r"^density not normalized: integral = "):
+            qiur.differential_entropy(np.array([]), 1.0)
+
+    def test_zero_entries_add_nothing(self):
+        rho, spacing = _density(1.0)
+        padded = np.concatenate((np.zeros(1000), rho, np.zeros(3)))
+        value = qiur.differential_entropy(padded, spacing)
+        assert abs(value - qiur.differential_entropy(rho, spacing)) <= 1e-15
 
     def test_matches_quadrature_oracle(self):
         # independent quadrature of -rho ln rho for sigma = 1.7
@@ -438,3 +466,70 @@ class TestEntropyReportAndCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError):
             qiur.wavefunction_from_csv(path)
+
+
+def traced_peak_mib(call) -> float:
+    """The tracemalloc peak, in MiB, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestRealAmplitudes:
+    """A real state takes the half-length rfft, its complex copy the full FFT."""
+
+    @pytest.mark.parametrize("units", [NATURAL_UNITS, HBAR_ONE], ids=["h1", "hbar1"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: qiur.gaussian_packet(1.0, n=64),
+            lambda: qiur.gaussian_packet(1.0, n=4096),
+            lambda: qiur.gaussian_packet(0.7, n=4097),
+            lambda: qiur.box_ground_state(1.0, n=4096),
+        ],
+        ids=["packet-64", "packet-4096", "packet-4097", "box-4096"],
+    )
+    def test_a_real_state_reports_what_its_complex_copy_does(self, build, units):
+        real = build()
+        copy = qiur.Grid(real.origin, real.spacing, real.amps.astype(complex))
+        assert (real.amps.dtype, copy.amps.dtype) == (np.float64, np.complex128)
+        got, expected = qiur.entropy_report(real, units), qiur.entropy_report(copy, units)
+        assert got["I_x"] == expected["I_x"]
+        assert abs(got["I_p"] - expected["I_p"]) <= 1e-15 * (1 + abs(expected["I_p"]))
+
+    @pytest.mark.parametrize("n", [64, 4097])
+    def test_to_momentum_of_a_real_state_is_that_of_its_complex_copy(self, n):
+        real = qiur.gaussian_packet(0.9, n=n)
+        copy = qiur.Grid(real.origin, real.spacing, real.amps.astype(complex))
+        assert np.array_equal(qiur.to_momentum(real).amps, qiur.to_momentum(copy).amps)
+
+    def test_builders_hand_over_float64_and_the_csv_complex128(self):
+        assert qiur.gaussian_packet(1.0).amps.dtype == np.float64
+        assert qiur.box_ground_state(1.0).amps.dtype == np.float64
+        assert qiur.wavefunction_from_csv(WAVEFN).amps.dtype == np.complex128
+
+    def test_a_callers_grid_is_a_checked_read_only_copy(self):
+        given = np.ones(64)
+        grid = qiur.Grid(0.0, 1 / 64, given)
+        given[0] = 5.0
+        assert grid.amps[0] == 1.0 and not grid.amps.flags.writeable
+        assert qiur.Grid(0.0, 1 / 64, [1] * 64).amps.dtype == np.float64
+        assert qiur.Grid(0.0, 1 / 64, [1 + 0j] * 64).amps.dtype == np.complex128
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            qiur.Grid(0.0, 1 / 64, [math.nan] + [1.0] * 63)
+
+    def test_built_grids_are_read_only(self):
+        packet = qiur.gaussian_packet(1.0)
+        for grid in (packet, qiur.box_ground_state(1.0), qiur.to_momentum(packet)):
+            assert not grid.amps.flags.writeable
+
+    def test_a_2_20_point_cli_report_peaks_at_48_mib(self):
+        argv = ["qiur", "--grid-n", str(2**20)]
+        config = cli.resolve_config("qiur", cli.build_parser().parse_args(argv))
+        assert traced_peak_mib(lambda: cli.run(config)) <= 48
+
+    def test_a_2_20_point_transform_peaks_at_72_mib(self):
+        assert traced_peak_mib(lambda: qiur.to_momentum(qiur.gaussian_packet(1.0, n=2**20))) <= 72
