@@ -12,7 +12,6 @@ from demonlab import markov
 # a 5-state chain with random connected symmetric rates
 rng = np.random.default_rng(1)
 rates = markov.random_symmetric_rates(5, rng)
-op = markov.build_master_operator(rates)
 print("rate matrix:")
 print(np.array2string(rates.rates, precision=3))
 

@@ -17,6 +17,7 @@ to_rows); other scenarios write reporting.kv_rows of their derived values.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -121,7 +122,9 @@ def _param_table(scenario: str) -> dict[str, tuple[type, Any]]:
     return {**COMMON_PARAMS, **SCENARIO_PARAMS[scenario]}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by every call: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="demonlab",
         description="Desk-scale Second-Law experiments: relaxation, uncertainty, demons.",
@@ -222,6 +225,8 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     from . import markov
 
     rng = np.random.default_rng(seed)
+    if params["rates_file"]:
+        _refuse_unread(params, "h-theorem", "with rates_file", "states")
     if params["rates_file"].endswith(".json"):
         rates = markov.rate_matrix_from_json(params["rates_file"])
     elif params["rates_file"]:
@@ -314,6 +319,7 @@ def _run_speed_demon(params: dict, units: UnitSystem, seed: int) -> RunnerResult
 
     gas = speed_demon.GasSpec(temperature_T=params["temperature"], mass_m=params["mass"])
     if require_positive("nu_low", params["nu_low"], least=0.0) > 0:
+        _refuse_unread(params, "speed-demon", "with nu_low", "ratio")
         probe = speed_demon.ProbeSpec(params["nu_low"])
     else:
         probe = speed_demon.ProbeSpec.from_energy_ratio(gas, params["ratio"], units)
@@ -349,6 +355,8 @@ def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
 def _run_brownian(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     from . import brownian
 
+    if params["step_law"] == brownian.STEP_PLUS_MINUS_ONE:
+        _refuse_unread(params, "brownian", "under the +-1 step law", "sigma_step")
     spec = brownian.WalkSpec(
         n_steps=params["steps"],
         n_walkers=params["walkers"],

@@ -14,7 +14,7 @@ input is rejected rather than silently accepted.
 
 All types are immutable after construction and all operations are pure,
 so concurrent use needs no locking; the values cached on first use (a rate
-matrix's connectivity, operator and eigendecomposition) are deterministic.
+matrix's connectivity, generator and eigendecomposition) are deterministic.
 Every propagation goes through that one eigendecomposition; numpy is all it needs.
 """
 
@@ -53,7 +53,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Symmetric nonnegative transition rates r_ij (1/time); diagonal ignored."""
+    """Symmetric nonnegative rates r_ij (1/time), diagonal ignored: the operator of dp/dt = L p."""
 
     rates: np.ndarray
 
@@ -90,31 +90,17 @@ class RateMatrix:
         return bool(seen.all())
 
     @cached_property
-    def _operator(self) -> "MasterOperator":
+    def generator(self) -> np.ndarray:
+        """L of dp/dt = L p: the rates, with each diagonal entry minus its column sum."""
         m = self.rates.copy()
         np.fill_diagonal(m, -(self.rates.sum(axis=0)))
-        return MasterOperator(m)
-
-
-@dataclass(frozen=True)
-class MasterOperator:
-    """Generator L of the relaxation semigroup: dp/dt = L p."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", _freeze(m))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        return _freeze(m)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues (all <= 0; the largest, 0, is the equilibrium's)
         and orthonormal eigenvector columns of the symmetric L, computed once."""
-        w, v = eigh(self.matrix)
+        w, v = eigh(self.generator)
         return _freeze(w), _freeze(v)
 
 
@@ -145,10 +131,9 @@ class ProbDist:
         return cls(np.full(n, 1.0 / n))
 
 
-def build_master_operator(rates: RateMatrix) -> MasterOperator:
-    """Assemble L from the rates; each diagonal entry is minus its column sum.
-    Built once per RateMatrix, so every caller shares it and its spectrum."""
-    return rates._operator
+def build_master_operator(rates: RateMatrix) -> RateMatrix:
+    """The rates, which carry L and its spectrum; kept only for bench/'s evolve op."""
+    return rates
 
 
 def _clamped(raw: np.ndarray) -> np.ndarray:
@@ -162,40 +147,40 @@ def _clamped(raw: np.ndarray) -> np.ndarray:
     return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
-def evolve(p0: ProbDist, op: MasterOperator, t: float) -> ProbDist:
+def evolve(p0: ProbDist, rates: RateMatrix, t: float) -> ProbDist:
     """Propagate p0 for time t >= 0 under dp/dt = L p.
 
-    One row of trajectory(), from the operator's cached L = V diag(w) V^T:
+    One row of trajectory(), from the rates' cached L = V diag(w) V^T:
     stable on stiff symmetric generators, and two matrix-vector products
-    once the operator is decomposed. It reproduces the two-state closed form
+    once L is decomposed. It reproduces the two-state closed form
     p1(t) = 1/2 + (p1(0)-1/2)e^{-2rt} well inside 1e-10.
     """
     if not math.isfinite(t):
         raise NumericError(f"time must be finite, got {t}")
-    if t == 0.0 and p0.n == op.n:
+    if t == 0.0 and p0.n == rates.n:
         return p0
-    return trajectory(p0, op, [t])[0]
+    return trajectory(p0, rates, [t])[0]
 
 
-def _propagate(p0: ProbDist, op: MasterOperator, ts: np.ndarray) -> np.ndarray:
-    """Rows p(t) for every t in ts, from the operator's cached spectrum."""
-    if p0.n != op.n:
-        raise InvalidInputError(f"dimension mismatch: p0 has {p0.n} states, operator {op.n}")
+def _propagate(p0: ProbDist, rates: RateMatrix, ts: np.ndarray) -> np.ndarray:
+    """Rows p(t) for every t in ts, from the rates' cached spectrum."""
+    if p0.n != rates.n:
+        raise InvalidInputError(f"dimension mismatch: p0 has {p0.n} states, the rates {rates.n}")
     if np.any(ts < 0) or not np.all(np.isfinite(ts)):
         raise InvalidInputError("times must be finite and nonnegative")
-    w, v = op.spectrum
+    w, v = rates.spectrum
     # eigh leaves each zero eigenvalue (one per component) near +-n eps max|w|;
     # exactly 0 keeps an equilibrium from decaying or growing at long horizons.
-    w = np.where(w > -op.n * math.ulp(1.0) * np.abs(w).max(), 0.0, w)
+    w = np.where(w > -rates.n * math.ulp(1.0) * np.abs(w).max(), 0.0, w)
     with np.errstate(over="ignore", invalid="ignore"):  # _clamped reports non-finite rows
         raw = (np.exp(np.outer(ts, w)) * (v.T @ p0.p)) @ v.T
     return _clamped(raw)
 
 
-def trajectory(p0: ProbDist, op: MasterOperator, ts: Sequence[float]) -> list[ProbDist]:
+def trajectory(p0: ProbDist, rates: RateMatrix, ts: Sequence[float]) -> list[ProbDist]:
     """Evaluate the evolution at many times via one symmetric eigendecomposition,
-    exact for symmetric generators (which is all build_master_operator makes)."""
-    return [ProbDist(row) for row in _propagate(p0, op, np.asarray(ts, dtype=float))]
+    exact for the symmetric generators that RateMatrix makes."""
+    return [ProbDist(row) for row in _propagate(p0, rates, np.asarray(ts, dtype=float))]
 
 
 def _entropies(p: np.ndarray, k: float) -> np.ndarray:
@@ -245,7 +230,7 @@ def spectral_gap(rates: RateMatrix) -> float:
     """-lambda_2 of L, the slowest rate of approach to the equilibrium. A
     disconnected graph (gap 0) raises NonUniqueEquilibriumError first."""
     equilibrium_distribution(rates)
-    return float(-build_master_operator(rates).spectrum[0][-2])
+    return float(-rates.spectrum[0][-2])
 
 
 def detailed_balance_residual(rates: RateMatrix, p: ProbDist) -> float:
@@ -310,13 +295,12 @@ def verify_h_theorem(
         raise InvalidInputError(
             f"p0 must be interior (all entries > {PROB_FLOOR}) for the H-theorem check"
         )
-    op = build_master_operator(rates)
     p_eq = equilibrium_distribution(rates)
-    samples = _propagate(p0, op, ts)
+    samples = _propagate(p0, rates, ts)
     entropy = _entropies(samples, 1.0)  # in units of k: k scales both once it is checked
     floored = np.clip(samples, PROB_FLOOR, None)
     floored /= floored.sum(axis=1, keepdims=True)
-    production = _production_rates(floored, op.matrix, 1.0)
+    production = _production_rates(floored, rates.generator, 1.0)
     largest = max(float(np.abs(entropy).max()), float(np.abs(production).max()))
     require_positive(f"{units}'s k times {largest!r}", units.k * largest, least=0.0)
     entropy, production = units.k * entropy, units.k * production

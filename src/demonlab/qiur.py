@@ -163,11 +163,6 @@ def qiur_bound(units: UnitSystem = NATURAL_UNITS) -> float:
     return math.log(units.h) + 1.0 - math.log(2.0)
 
 
-def joint_information(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> float:
-    """I(x) + I(p) on the grid; always >= ln(he/2) up to discretization slack."""
-    return entropy_report(psi, units)["joint"]
-
-
 def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float:
     """k times the momentum information: S = -k int |phi|^2 ln |phi|^2 dp."""
     return units.k * differential_entropy(phi.density(), phi.spacing)

@@ -238,6 +238,7 @@ class TestExitContract:
 
 
 WAVEFN = str(Path(__file__).with_name("golden") / "wavefn.csv")
+RATES = str(Path(__file__).with_name("golden") / "rates.json")
 
 #: Inputs whose derived quantities leave float64 range, or that set a key away from
 #: its default where the chosen branch never reads it, and the names their error
@@ -266,6 +267,10 @@ NAMED_ERRORS = {
                                        "--grid-n", "128"], ["sigma_x", "grid_n"]),
     "input-with-box-length": (["qiur", "--input", WAVEFN, "--box-length", "2"], ["box_length"]),
     "box-length-with-sigma-x": (["qiur", "--box-length", "2", "--sigma-x", "3"], ["sigma_x"]),
+    "states-with-rates-file": (["h-theorem", "--rates-file", RATES, "--states", "9"], ["states"]),
+    "ratio-with-nu-low": (["speed-demon", "--nu-low", "0.01", "--ratio", "5", "--attempts",
+                           "100"], ["ratio"]),
+    "sigma-step-under-plus-minus-one": (["brownian", "--sigma-step", "3"], ["sigma_step"]),
 }
 
 
@@ -452,8 +457,8 @@ class TestCost:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert demonlab.cli.main(argv) == 0, argv\n"
             "from demonlab import brownian, markov\n"
-            "op = markov.build_master_operator(markov.RateMatrix([[0, 1], [1, 0]]))\n"
-            "assert markov.evolve(markov.ProbDist([1.0, 0.0]), op, 0.5).p[0] > 0.5\n"
+            "rates = markov.RateMatrix([[0, 1], [1, 0]])\n"
+            "assert markov.evolve(markov.ProbDist([1.0, 0.0]), rates, 0.5).p[0] > 0.5\n"
             "spec = brownian.WalkSpec(n_steps=30, n_walkers=100_000, rng_seed=1)\n"
             "assert brownian.histogram_vs_gaussian(spec, 30).expected.sum() > 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -479,6 +484,40 @@ class TestCost:
         report = cli.run(cli.resolve_config("h-theorem", args))
         assert all(report["verdicts"].values())
         assert calls == [(12, 12)]
+
+
+def _main_outcome(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout less wall_time_s, and stderr of one in-process main(argv)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors, --help and --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, strip_wall_time(out), err
+
+
+class TestParserReuse:
+    BATCH = [
+        ["h-theorem", "--states", "8"],
+        ["szilard", "--no-such-flag"],
+        ["--help"],
+        ["h-theorem", "--help"],
+        ["--version"],
+        ["szilard", "--cycles", "3"],
+        ["h-theorem", "--states", "8"],  # state left by the first call would show here
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, monkeypatch, capsys):
+        help_before = cli.build_parser().format_help()
+        reused = [_main_outcome(argv, capsys) for argv in self.BATCH]
+        assert cli.build_parser().format_help() == help_before
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [_main_outcome(argv, capsys) for argv in self.BATCH]
+        assert [code for code, _out, _err in reused] == [0, 2, 0, 0, 0, 0, 0]
+        assert reused == fresh
 
 
 class TestReproducibility:

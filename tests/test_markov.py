@@ -1,4 +1,4 @@
-"""Master-equation engine: operator assembly, evolution, entropy, H-theorem."""
+"""Master-equation engine: generator assembly, evolution, entropy, H-theorem."""
 
 import json
 import math
@@ -21,9 +21,9 @@ def two_state_closed_form(p1_initial: float, rate: float, t: float) -> float:
     return 0.5 + (p1_initial - 0.5) * math.exp(-2.0 * rate * t)
 
 
-def expm_reference(p0: markov.ProbDist, op: markov.MasterOperator, t: float) -> np.ndarray:
+def expm_reference(p0: markov.ProbDist, rates: markov.RateMatrix, t: float) -> np.ndarray:
     # independent reference: scipy's Pade scaling-and-squaring exp(L t) applied to p0
-    return expm(op.matrix * t) @ p0.p
+    return expm(rates.generator * t) @ p0.p
 
 
 class TestRateMatrix:
@@ -121,45 +121,41 @@ class TestRandomSymmetricRates:
         assert 0.25 < (present.size - 59) / 1711 < 0.35
 
 
-class TestBuildMasterOperator:
+class TestGenerator:
     def test_built_once_per_rate_matrix(self):
         rates = markov.random_symmetric_rates(5, np.random.default_rng(21))
-        op = markov.build_master_operator(rates)
-        assert markov.build_master_operator(rates) is op
-        assert op.spectrum is op.spectrum
-
+        assert rates.generator is rates.generator
+        assert rates.spectrum is rates.spectrum
+        assert not rates.generator.flags.writeable
+        assert not any(a.flags.writeable for a in rates.spectrum)
 
     def test_two_state_unit_rate(self):
-        op = markov.build_master_operator(TWO_STATE)
-        assert np.array_equal(op.matrix, np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        assert np.array_equal(TWO_STATE.generator, np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
     def test_all_zero_rates(self):
-        op = markov.build_master_operator(markov.RateMatrix(np.zeros((3, 3))))
-        assert np.array_equal(op.matrix, np.zeros((3, 3)))
+        rates = markov.RateMatrix(np.zeros((3, 3)))
+        assert np.array_equal(rates.generator, np.zeros((3, 3)))
 
     def test_three_state_ring(self):
         ring = markov.RateMatrix([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-        op = markov.build_master_operator(ring)
-        assert np.allclose(np.diag(op.matrix), -4.0)
-        off = op.matrix[~np.eye(3, dtype=bool)]
+        assert np.allclose(np.diag(ring.generator), -4.0)
+        off = ring.generator[~np.eye(3, dtype=bool)]
         assert np.all(off == 2.0)
 
     def test_column_sums_exactly_zero(self):
         rng = np.random.default_rng(10)
         for n in (2, 5, 12):
             rates = markov.random_symmetric_rates(n, rng)
-            op = markov.build_master_operator(rates)
             # diagonal entries are the exact float negation of the column sums
-            off = op.matrix.copy()
+            off = rates.generator.copy()
             np.fill_diagonal(off, 0.0)
-            assert np.array_equal(np.diag(op.matrix), -off.sum(axis=0))
+            assert np.array_equal(np.diag(rates.generator), -off.sum(axis=0))
             # re-summing whole columns reassociates, leaving only rounding dust
-            assert np.max(np.abs(op.matrix.sum(axis=0))) < 1e-13 * np.abs(off).max()
+            assert np.max(np.abs(rates.generator.sum(axis=0))) < 1e-13 * np.abs(off).max()
 
     def test_applies_as_rate_equation(self):
         # dp_i/dt = sum_j (r_ij p_j - r_ji p_i), written out by hand
         rates = markov.random_symmetric_rates(4, np.random.default_rng(3))
-        op = markov.build_master_operator(rates)
         p = np.array([0.4, 0.3, 0.2, 0.1])
         expected = np.zeros(4)
         r = rates.rates
@@ -167,36 +163,31 @@ class TestBuildMasterOperator:
             for j in range(4):
                 if i != j:
                     expected[i] += r[i, j] * p[j] - r[j, i] * p[i]
-        assert np.allclose(op.matrix @ p, expected, atol=1e-15)
+        assert np.allclose(rates.generator @ p, expected, atol=1e-15)
 
 
 class TestEvolve:
     def test_equilibrium_fixed_point(self):
-        op = markov.build_master_operator(TWO_STATE)
         half = markov.ProbDist([0.5, 0.5])
         for t in (0.1, 1.0, 25.0):
-            assert np.allclose(markov.evolve(half, op, t).p, 0.5, atol=1e-12)
+            assert np.allclose(markov.evolve(half, TWO_STATE, t).p, 0.5, atol=1e-12)
 
     def test_two_state_closed_form_value(self):
-        op = markov.build_master_operator(TWO_STATE)
-        out = markov.evolve(markov.ProbDist([1.0, 0.0]), op, 0.5)
+        out = markov.evolve(markov.ProbDist([1.0, 0.0]), TWO_STATE, 0.5)
         assert out.p[0] == pytest.approx(0.6839397205857212, abs=1e-12)
         assert out.p[1] == pytest.approx(0.3160602794142788, abs=1e-12)
 
     def test_relaxation_limit(self):
-        op = markov.build_master_operator(TWO_STATE)
-        out = markov.evolve(markov.ProbDist([1.0, 0.0]), op, 50.0)
+        out = markov.evolve(markov.ProbDist([1.0, 0.0]), TWO_STATE, 50.0)
         assert np.allclose(out.p, 0.5, atol=1e-12)
 
     def test_t_zero_returns_input(self):
-        op = markov.build_master_operator(TWO_STATE)
         p0 = markov.ProbDist([0.7, 0.3])
-        assert markov.evolve(p0, op, 0.0) is p0
+        assert markov.evolve(p0, TWO_STATE, 0.0) is p0
 
     def test_negative_time_rejected(self):
-        op = markov.build_master_operator(TWO_STATE)
         with pytest.raises(InvalidInputError):
-            markov.evolve(markov.ProbDist([1.0, 0.0]), op, -0.1)
+            markov.evolve(markov.ProbDist([1.0, 0.0]), TWO_STATE, -0.1)
 
     @pytest.mark.parametrize("method", ["expm", "evolve"])
     @pytest.mark.parametrize("rate", [0.1, 1.0, 10.0])
@@ -204,11 +195,10 @@ class TestEvolve:
         # "expm": the scipy reference that the other evolve tests trust;
         # "evolve": the library, which must also agree with that reference.
         rm = markov.RateMatrix([[0.0, rate], [rate, 0.0]])
-        op = markov.build_master_operator(rm)
         p0 = markov.ProbDist([0.9, 0.1])
         for t in (0.05, 0.7, 3.0):
-            reference = expm_reference(p0, op, t)
-            out = reference if method == "expm" else markov.evolve(p0, op, t).p
+            reference = expm_reference(p0, rm, t)
+            out = reference if method == "expm" else markov.evolve(p0, rm, t).p
             assert out[0] == pytest.approx(two_state_closed_form(0.9, rate, t), abs=1e-10)
             assert np.max(np.abs(out - reference)) < 1e-10
 
@@ -221,14 +211,13 @@ class TestEvolve:
         mask = np.triu(rng.random((n, n)) < 0.05, 1)
         upper = np.where(mask, 10.0 ** rng.uniform(-3.0, 3.0, (n, n)), 0.0)
         rates = markov.RateMatrix(upper + upper.T)
-        op = markov.build_master_operator(rates)
         raw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
         t = 1e4 / rates.rates.sum(axis=0).max()
         start = time.perf_counter()
-        out = markov.evolve(p0, op, t)
+        out = markov.evolve(p0, rates, t)
         elapsed = time.perf_counter() - start
-        assert np.max(np.abs(out.p - expm_reference(p0, op, t))) < 1e-10
+        assert np.max(np.abs(out.p - expm_reference(p0, rates, t))) < 1e-10
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("t", [1e20, 1e300])
@@ -237,52 +226,48 @@ class TestEvolve:
         # eigh leaves the zero eigenvalue near +-1e-15; exp(w t) of that
         # would drain or swell the equilibrium at these horizons.
         rng = np.random.default_rng(n)
-        op = markov.build_master_operator(markov.random_symmetric_rates(n, rng))
+        rates = markov.random_symmetric_rates(n, rng)
         raw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
-        out = markov.evolve(markov.ProbDist(raw / raw.sum()), op, t)
+        out = markov.evolve(markov.ProbDist(raw / raw.sum()), rates, t)
         assert np.max(np.abs(out.p - 1.0 / n)) < 1e-12
 
     @pytest.mark.parametrize("t", [1e20, 1e300])
     def test_long_horizon_keeps_each_component_mass(self, t):
         # two components, so two zero eigenvalues: each keeps its own mass
         rates = markov.RateMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
-        op = markov.build_master_operator(rates)
-        out = markov.evolve(markov.ProbDist([0.3, 0.0, 0.1, 0.6]), op, t)
+        out = markov.evolve(markov.ProbDist([0.3, 0.0, 0.1, 0.6]), rates, t)
         assert np.allclose(out.p, [0.15, 0.15, 0.35, 0.35], rtol=0.0, atol=1e-12)
 
     def test_probability_conserved_and_positive(self):
         rng = np.random.default_rng(4)
         rates = markov.random_symmetric_rates(9, rng)
-        op = markov.build_master_operator(rates)
         raw = np.clip(rng.dirichlet(np.ones(9)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
         for t in (0.01, 0.5, 3.0, 40.0):
-            out = markov.evolve(p0, op, t)
+            out = markov.evolve(p0, rates, t)
             assert abs(out.p.sum() - 1.0) <= 1e-12
             assert np.all(out.p >= 0.0)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(5)
         rates = markov.random_symmetric_rates(6, rng)
-        op = markov.build_master_operator(rates)
         raw = np.clip(rng.dirichlet(np.ones(6)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
-        two_hop = markov.evolve(markov.evolve(p0, op, 0.8), op, 1.4)
-        one_hop = markov.evolve(p0, op, 2.2)
+        two_hop = markov.evolve(markov.evolve(p0, rates, 0.8), rates, 1.4)
+        one_hop = markov.evolve(p0, rates, 2.2)
         assert np.max(np.abs(two_hop.p - one_hop.p)) < 1e-9
 
     def test_trajectory_matches_evolve(self):
         rng = np.random.default_rng(6)
         rates = markov.random_symmetric_rates(7, rng)
-        op = markov.build_master_operator(rates)
         raw = np.clip(rng.dirichlet(np.ones(7)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
         ts = [0.0, 0.2, 1.1, 5.0]
-        for t, pt in zip(ts, markov.trajectory(p0, op, ts)):
-            assert np.max(np.abs(pt.p - expm_reference(p0, op, t))) < 1e-12
-            if t > 0.0:  # evolve(p0, op, 0) is p0 itself
-                (single,) = markov.trajectory(p0, op, [t])
-                assert np.array_equal(markov.evolve(p0, op, t).p, single.p)
+        for t, pt in zip(ts, markov.trajectory(p0, rates, ts)):
+            assert np.max(np.abs(pt.p - expm_reference(p0, rates, t))) < 1e-12
+            if t > 0.0:  # evolve(p0, rates, 0) is p0 itself
+                (single,) = markov.trajectory(p0, rates, [t])
+                assert np.array_equal(markov.evolve(p0, rates, t).p, single.p)
 
 
 def pairwise_production(p: np.ndarray, r: np.ndarray) -> float:
@@ -349,12 +334,11 @@ class TestEntropyProductionRate:
     def test_generator_form_matches_pairwise_sum(self, n):
         rng = np.random.default_rng(n)
         rates = markov.random_symmetric_rates(n, rng)
-        op = markov.build_master_operator(rates)
         raw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
-        ts = np.linspace(0.0, 25.0 / -op.spectrum[0][-2], 6)
+        ts = np.linspace(0.0, 25.0 / -rates.spectrum[0][-2], 6)
         report = markov.verify_h_theorem(rates, p0, ts)
-        for sample, production in zip(markov.trajectory(p0, op, ts), report.production_rate):
+        for sample, production in zip(markov.trajectory(p0, rates, ts), report.production_rate):
             reference = pairwise_production(sample.p, rates.rates)
             assert abs(production - reference) < 1e-12
 
@@ -374,14 +358,13 @@ class TestEntropyProductionRate:
     def test_matches_finite_difference_along_trajectory(self):
         rng = np.random.default_rng(12)
         rates = markov.random_symmetric_rates(6, rng)
-        op = markov.build_master_operator(rates)
         raw = np.clip(rng.dirichlet(np.ones(6)), 1e-4, None)
         p0 = markov.ProbDist(raw / raw.sum())
         delta = 1e-5
         report = markov.verify_h_theorem(rates, p0, [0.1, 0.4, 1.0])
         for t, rate in zip(report.times, report.production_rate):
-            s_plus = markov.shannon_entropy(markov.evolve(p0, op, t + delta))
-            s_minus = markov.shannon_entropy(markov.evolve(p0, op, t - delta))
+            s_plus = markov.shannon_entropy(markov.evolve(p0, rates, t + delta))
+            s_minus = markov.shannon_entropy(markov.evolve(p0, rates, t - delta))
             fd = (s_plus - s_minus) / (2 * delta)
             assert abs(rate - fd) / max(abs(fd), 1e-12) < 1e-6
 
@@ -399,13 +382,12 @@ class TestEquilibrium:
     def test_null_space_residual_and_long_time_agreement(self):
         rng = np.random.default_rng(14)
         rates = markov.random_symmetric_rates(5, rng)
-        op = markov.build_master_operator(rates)
         eq = markov.equilibrium_distribution(rates)
-        assert np.max(np.abs(op.matrix @ eq.p)) < 1e-12
+        assert np.max(np.abs(rates.generator @ eq.p)) < 1e-12
         min_rate = rates.rates[rates.rates > 0].min()
         raw = np.clip(rng.dirichlet(np.ones(5)), 1e-6, None)
         p0 = markov.ProbDist(raw / raw.sum())
-        late = markov.evolve(p0, op, 1e3 / min_rate)
+        late = markov.evolve(p0, rates, 1e3 / min_rate)
         assert np.max(np.abs(late.p - eq.p)) < 1e-10
 
     def test_detailed_balance_entrywise(self):
@@ -417,10 +399,9 @@ class TestEquilibrium:
 
     def test_fixed_point_of_evolve(self):
         rates = markov.random_symmetric_rates(6, np.random.default_rng(16))
-        op = markov.build_master_operator(rates)
         eq = markov.equilibrium_distribution(rates)
         for t in (0.5, 5.0, 50.0):
-            assert np.max(np.abs(markov.evolve(eq, op, t).p - eq.p)) < 1e-12
+            assert np.max(np.abs(markov.evolve(eq, rates, t).p - eq.p)) < 1e-12
 
     def test_disconnected_graph_rejected(self):
         rates = markov.RateMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])

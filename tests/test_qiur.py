@@ -274,14 +274,14 @@ class TestGaussianInformation:
 class TestJointInformation:
     def test_minimum_uncertainty_gaussian_saturates(self):
         psi = qiur.gaussian_packet(1.0)
-        joint = qiur.joint_information(psi)
+        joint = qiur.entropy_report(psi)["joint"]
         bound = qiur.qiur_bound()
         assert bound == pytest.approx(0.3068528194400547, abs=1e-14)
         assert joint == pytest.approx(bound, abs=1e-3)
 
     def test_box_ground_state_exceeds(self):
         psi = qiur.box_ground_state(1.0)
-        joint = qiur.joint_information(psi)
+        joint = qiur.entropy_report(psi)["joint"]
         assert joint > qiur.qiur_bound() + 0.05
 
     def test_box_matches_quadrature_oracle(self):
@@ -324,9 +324,9 @@ class TestJointInformation:
         assert i_p == pytest.approx(i_p_oracle, abs=1e-3)
 
     def test_squeezing_invariance(self):
-        base = qiur.joint_information(qiur.gaussian_packet(1.0))
+        base = qiur.entropy_report(qiur.gaussian_packet(1.0))["joint"]
         for alpha in (0.5, 2.0, 4.0):
-            squeezed = qiur.joint_information(qiur.gaussian_packet(alpha))
+            squeezed = qiur.entropy_report(qiur.gaussian_packet(alpha))["joint"]
             assert squeezed == pytest.approx(base, abs=1e-4)
 
     def test_bound_scales_with_h(self):
@@ -335,7 +335,7 @@ class TestJointInformation:
             math.log(7.0 * math.e / 2.0), abs=1e-14
         )
         psi = qiur.gaussian_packet(1.0)
-        assert qiur.joint_information(psi, units) == pytest.approx(
+        assert qiur.entropy_report(psi, units)["joint"] == pytest.approx(
             qiur.qiur_bound(units), abs=1e-3
         )
 
@@ -344,7 +344,7 @@ class TestJointInformation:
         bound = qiur.qiur_bound()
         for i in range(30):
             psi = box_mode(rng) if i % 3 == 0 else random_mixture(rng)
-            joint = qiur.joint_information(psi)
+            joint = qiur.entropy_report(psi)["joint"]
             assert joint >= bound - 1e-3
             if i % 3 == 0:
                 # non-Gaussian box modes clear the bound by a margin

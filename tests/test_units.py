@@ -52,6 +52,6 @@ class TestErrorTaxonomy:
             markov.ProbDist([np.nan, 1.0])
 
     def test_non_finite_time_is_numeric_error(self):
-        op = markov.build_master_operator(markov.RateMatrix([[0, 1], [1, 0]]))
+        rates = markov.RateMatrix([[0, 1], [1, 0]])
         with pytest.raises(NumericError):
-            markov.evolve(markov.ProbDist([0.5, 0.5]), op, math.inf)
+            markov.evolve(markov.ProbDist([0.5, 0.5]), rates, math.inf)
