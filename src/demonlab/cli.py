@@ -211,7 +211,7 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
 
 def _refuse_unread(params: dict, scenario: str, branch: str, *keys: str) -> None:
     """Refuse each of keys that is set away from its default, which branch never reads."""
-    if unread := [key for key in keys if params[key] != SCENARIO_PARAMS[scenario][key][1]]:
+    if unread := [key for key in keys if params[key] != _param_table(scenario)[key][1]]:
         raise InvalidInputError(f"{', '.join(unread)} set but not read {branch}")
 
 
@@ -389,6 +389,10 @@ RUNNERS: dict[str, Callable[[dict, UnitSystem, int], RunnerResult]] = {
 
 def run(config: RunConfig) -> dict[str, Any]:
     """Execute the scenario, write its --output file, and return the report."""
+    if config.params["si"]:
+        _refuse_unread(config.params, config.scenario, "with si", "k", "h")
+    if not config.params["output"]:
+        _refuse_unread(config.params, config.scenario, "without output", "format")
     start = time.perf_counter()
     derived, verdicts, table = RUNNERS[config.scenario](
         config.params, config.units(), config.seed

@@ -27,8 +27,10 @@ from .qiur import GaussianState, gaussian_information
 from .reporting import binomial_3sigma
 from .units import NATURAL_UNITS, UnitSystem
 
-#: More attempts would not fit in memory or time (8 bytes of position each).
+#: More attempts would not fit in time; the positions stream through BLOCK_DRAWS at a time.
 MAX_ATTEMPTS = 10**7
+#: Positions drawn and counted per block: 512 KiB of float64, whatever the attempt count.
+BLOCK_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,10 @@ def simulate_sorting(
     require_count("n_attempts", n_attempts, 1, MAX_ATTEMPTS)
     spreads = post_measurement_spreads(gas, probe, units)
     d = geometry.door_size_d
-    rng = np.random.default_rng(rng_seed)
-    xs = rng.normal(0.0, spreads.sigma_x, n_attempts)
-    n_passed = int(np.count_nonzero(np.abs(xs) < d / 2.0))
+    rng, n_passed = np.random.default_rng(rng_seed), 0
+    for lo in range(0, n_attempts, BLOCK_DRAWS):  # normal draws carry no state between calls
+        xs = rng.normal(0.0, spreads.sigma_x, min(BLOCK_DRAWS, n_attempts - lo))
+        n_passed += int(np.count_nonzero(np.abs(xs, out=xs) < d / 2.0))
     p_rms = rms_momentum(gas, units)
     door_max = max_door_size(p_rms, units)
     ratio = spreads.sigma_x / door_max

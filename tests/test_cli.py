@@ -271,6 +271,10 @@ NAMED_ERRORS = {
     "ratio-with-nu-low": (["speed-demon", "--nu-low", "0.01", "--ratio", "5", "--attempts",
                            "100"], ["ratio"]),
     "sigma-step-under-plus-minus-one": (["brownian", "--sigma-step", "3"], ["sigma_step"]),
+    "k-under-si": (["szilard", "--si", "--k", "-1"], ["k set but not read with si"]),
+    "h-nan-under-si": (["szilard", "--si", "--h", "nan"], ["h set but not read with si"]),
+    "format-without-output": (["fgr", "--format", "csv", "--samples", "1000"],
+                              ["format set but not read without output"]),
 }
 
 
@@ -322,6 +326,13 @@ class TestErrorsAtSource:
         assert cli.main(argv) == 1
         line = capsys.readouterr().err
         assert all(name in line for name in names), line
+
+    def test_the_seed_and_common_keys_at_their_defaults_are_read(self, capsys):
+        # the report carries the seed, so a deterministic scenario still takes --seed
+        for argv in (["qiur", "--seed", "3", "--grid-n", "64"],
+                     ["fgr", "--format", "json", "--samples", "1000"],
+                     ["szilard", "--si", "--k", "1", "--h", "1.0"]):
+            assert cli.main(argv) == 0, capsys.readouterr().err
 
     def test_grid_size_is_checked_before_the_spacing(self, capsys):
         lines = []

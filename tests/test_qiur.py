@@ -533,3 +533,96 @@ class TestRealAmplitudes:
 
     def test_a_2_20_point_transform_peaks_at_72_mib(self):
         assert traced_peak_mib(lambda: qiur.to_momentum(qiur.gaussian_packet(1.0, n=2**20))) <= 72
+
+
+def whole_array_packet(sigma_x: float, n: int) -> np.ndarray:
+    """gaussian_packet's amplitudes by whole-array numpy calls, in the same per-element order."""
+    dx = 16.0 * sigma_x / n
+    amps = np.arange(n, dtype=float)
+    amps *= dx
+    amps += -(n // 2) * dx
+    amps *= amps
+    amps /= -4.0 * sigma_x**2
+    np.exp(amps, out=amps)
+    amps *= (2.0 * math.pi * (sigma_x * sigma_x)) ** -0.25
+    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
+
+
+def whole_array_entropy(rho: np.ndarray, spacing: float) -> float:
+    terms = np.maximum(rho, math.ulp(0.0))
+    np.log(terms, out=terms)
+    terms *= rho
+    return float(-terms.sum() * spacing)
+
+
+def whole_array_report(psi: qiur.Grid, units: UnitSystem) -> tuple[float, float]:
+    """(I_x, I_p) by whole-array numpy calls: a real state's half spectrum is mirrored into
+    to_momentum's order N//2 .. 1, 0, 1 .. (N-1)//2 and summed as one array."""
+    real = not np.iscomplexobj(psi.amps)
+    spectrum = np.fft.rfft(psi.amps) if real else np.fft.fftshift(np.fft.fft(psi.amps))
+    spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)
+    rho = np.abs(spectrum) ** 2
+    if real:
+        rho = np.concatenate((rho[::-1], rho[1 : psi.n - rho.size + 1]))
+    dp = 2.0 * math.pi * units.hbar / (psi.n * psi.spacing)
+    return whole_array_entropy(np.abs(psi.amps) ** 2, psi.spacing), whole_array_entropy(rho, dp)
+
+
+def random_real_state(n: int) -> qiur.Grid:
+    amps = np.random.default_rng(n).standard_normal(n)
+    return qiur.Grid(-1.0, 0.01, amps / math.sqrt(float(np.sum(amps**2) * 0.01)))
+
+
+BLOCK_SIZES = [64, 4097, 2**17 + 7, 2**20]
+
+
+class TestBlocks:
+    """The blocked passes give the bits of whole-array numpy calls."""
+
+    @pytest.mark.parametrize(
+        "n", [64, 65, 127, 128, 129, 1000, 2**14 - 1, 2**14, 2**14 + 1, 2**14 + 7, 2**15 + 3,
+              10**5 + 3, 2**17 + 7, 2**20, 2**22],
+    )
+    def test_pairwise_sum_is_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        mixes = [  # uniform, signed over 260 decades, and half zeros
+            lambda: rng.random(n),
+            lambda: rng.standard_normal(n) * np.exp(rng.uniform(-300.0, 300.0, n)),
+            lambda: np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n)),
+        ]
+        for mix in mixes:
+            values = mix()
+            got = qiur._pairwise_sum(lambda lo, hi: values[lo:hi], 0, n)
+            assert np.float64(got).tobytes() == np.sum(values).tobytes()
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_packet_is_the_whole_array_packet(self, n):
+        assert np.array_equal(qiur.gaussian_packet(0.7, n=n).amps, whole_array_packet(0.7, n))
+
+    @pytest.mark.parametrize("units", [NATURAL_UNITS, HBAR_ONE], ids=["h1", "hbar1"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n, units: qiur.gaussian_packet(0.7, n=n),
+            lambda n, units: qiur.box_ground_state(1.0, n=n, units=units),
+            lambda n, units: random_real_state(n),
+            lambda n, units: random_mixture(np.random.default_rng(n), units, n=n),
+        ],
+        ids=["packet", "box", "real", "complex"],
+    )
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_entropy_report_is_the_whole_array_report(self, n, build, units):
+        psi = build(n, units)
+        report = qiur.entropy_report(psi, units)
+        assert (report["I_x"], report["I_p"]) == whole_array_report(psi, units)
+        assert report["joint"] == report["I_x"] + report["I_p"]
+
+    @pytest.mark.parametrize("n", [64, 4097, 2**17 + 7])
+    def test_differential_entropy_is_the_whole_array_sum(self, n):
+        psi = random_real_state(n)
+        rho = psi.density()
+        assert qiur.differential_entropy(rho, psi.spacing) == whole_array_entropy(rho, psi.spacing)
+
+    def test_a_2_20_point_report_peaks_at_12_5_mib(self):
+        psi = qiur.gaussian_packet(1.0, n=2**20)
+        assert traced_peak_mib(lambda: qiur.entropy_report(psi)) <= 12.5

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -258,6 +259,26 @@ class TestSimulateSorting:
         assert report["derived"]["n_passed"] == 0
         assert 0.0 < report["derived"]["analytic_passage"] < 1e-320
         assert report["verdicts"] == {"sorting_infeasible": True, "mc_within_3sigma": True}
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("n", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**5 + 3])
+    def test_blocks_count_what_one_whole_draw_does(self, n, seed):
+        gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)
+        probe = sd.ProbeSpec.from_energy_ratio(gas, 100.0)
+        sigma_x = sd.post_measurement_spreads(gas, probe).sigma_x
+        report = sd.simulate_sorting(gas, probe, sd.SortingGeometry(2 * sigma_x), n, seed)
+        xs = np.random.default_rng(seed).normal(0.0, sigma_x, n)
+        assert report.n_passed == np.count_nonzero(np.abs(xs) < sigma_x)
+
+    def test_a_million_attempts_peak_under_2_mib(self):
+        gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)
+        probe = sd.ProbeSpec.from_energy_ratio(gas, 100.0)
+        tracemalloc.start()
+        try:
+            sd.simulate_sorting(gas, probe, sd.SortingGeometry(1.0), 10**6, rng_seed=1)
+            assert tracemalloc.get_traced_memory()[1] <= 2 * 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_invalid_attempts(self):
         gas = sd.GasSpec(temperature_T=1.0, mass_m=1.0)
