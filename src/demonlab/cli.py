@@ -9,9 +9,12 @@ from the wall_time_s field. Exit status: 0 when every scenario verdict
 passes, 1 on scenario failure or error, 2 on usage errors.
 
 The CLI parses, imports the scenario's module (and numpy) only when that
-scenario runs, runs it and emits. Each report defines its own verdicts and
-their tolerances, and a report with a table its CSV columns (CSV_HEADER,
-to_rows); other scenarios write reporting.kv_rows of their derived values.
+scenario runs, runs it and emits. A runner reads the keys its branch uses,
+yields, then works; in between, run refuses each key set away from its
+default that went unread, the one place that rule lives. Each report
+defines its own verdicts and their tolerances, and a report with a table
+its CSV columns (CSV_HEADER, to_rows); other scenarios write
+reporting.kv_rows of their derived values.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import functools
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from . import __version__
 from .errors import DemonlabError, InvalidInputError, require_count, require_positive
@@ -107,15 +110,6 @@ class RunConfig:
 
     scenario: str
     params: dict[str, Any]
-
-    @property
-    def seed(self) -> int:
-        return self.params["seed"]
-
-    def units(self) -> UnitSystem:
-        if self.params["si"]:
-            return UnitSystem.si()
-        return UnitSystem(k=self.params["k"], h=self.params["h"])
 
 
 def _param_table(scenario: str) -> dict[str, tuple[type, Any]]:
@@ -209,37 +203,46 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
     return RunConfig(scenario=scenario, params=params)
 
 
-def _refuse_unread(params: dict, scenario: str, branch: str, *keys: str) -> None:
-    """Refuse each of keys that is set away from its default, which branch never reads."""
-    if unread := [key for key in keys if params[key] != _param_table(scenario)[key][1]]:
-        raise InvalidInputError(f"{', '.join(unread)} set but not read {branch}")
+@dataclass
+class Params:
+    """A run's parameters, recording each key read; peek looks at one without reading it."""
+
+    values: dict[str, Any]
+    read: set[str] = field(default_factory=set)
+
+    def __getitem__(self, key: str) -> Any:
+        self.read.add(key)
+        return self.values[key]
+
+    def peek(self, key: str) -> Any:
+        return self.values[key]
 
 
-#: (derived values, verdicts, the report that owns the CSV table or None).
-RunnerResult = tuple[dict[str, Any], dict[str, bool], Any]
+#: Yields the branch's phrase, then returns (derived, verdicts, the CSV table's report or None).
+Run = Generator[str | None, None, tuple[dict[str, Any], dict[str, bool], Any]]
 
 
-def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_h_theorem(params: Params, units: UnitSystem, seed: int) -> Run:
     import numpy as np
 
     from . import markov
 
+    rates_file, p0_text, samples = params["rates_file"], params["p0"], params["samples"]
+    states, t_max = None if rates_file else params["states"], params["t_max"]
+    yield rates_file and "with rates_file"
     rng = np.random.default_rng(seed)
-    if params["rates_file"]:
-        _refuse_unread(params, "h-theorem", "with rates_file", "states")
-    if params["rates_file"].endswith(".json"):
-        rates = markov.rate_matrix_from_json(params["rates_file"])
-    elif params["rates_file"]:
-        rates = markov.rate_matrix_from_text(params["rates_file"])
+    if rates_file.endswith(".json"):
+        rates = markov.rate_matrix_from_json(rates_file)
+    elif rates_file:
+        rates = markov.rate_matrix_from_text(rates_file)
     else:
-        rates = markov.random_symmetric_rates(params["states"], rng)
+        rates = markov.random_symmetric_rates(states, rng)
     n = rates.n
-    limit = markov.MAX_TRAJECTORY_SIZE // n
-    samples = require_count(f"samples at {n} states", params["samples"], 2, limit)
+    samples = require_count(f"samples at {n} states", samples, 2, markov.MAX_TRAJECTORY_SIZE // n)
 
-    if params["p0"]:
+    if p0_text:
         try:
-            values = np.array([float(v) for v in params["p0"].split(",")])
+            values = np.array([float(v) for v in p0_text.split(",")])
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse p0: {exc}") from exc
         p0 = markov.ProbDist(values)
@@ -247,8 +250,7 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
         draw = np.clip(rng.dirichlet(np.ones(n)), 1e-6, None)
         p0 = markov.ProbDist(draw / draw.sum())
 
-    t_max = require_positive("t_max", params["t_max"], least=0.0)
-    t_max = t_max or 25.0 / markov.spectral_gap(rates)
+    t_max = require_positive("t_max", t_max, least=0.0) or 25.0 / markov.spectral_gap(rates)
     grid = np.linspace(0.0, require_positive("t_max", t_max), samples)
     report = markov.verify_h_theorem(rates, p0, grid, units)
     derived = {
@@ -263,10 +265,12 @@ def _run_h_theorem(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     return derived, report.verdicts(), report
 
 
-def _run_fgr(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_fgr(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import fgr
 
-    sample = fgr.simulate_decay(params["gamma"], params["samples"], seed)
+    gamma, samples = params["gamma"], params["samples"]
+    yield
+    sample = fgr.simulate_decay(gamma, samples, seed)
     derived = {
         "gamma": sample.gamma,
         "lifetime": 1.0 / sample.gamma,
@@ -276,94 +280,86 @@ def _run_fgr(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     return derived, sample.verdicts(), sample
 
 
-def _run_qiur(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_qiur(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import qiur
 
-    box_length = require_positive("box_length", params["box_length"], least=0.0)
-    if params["input"]:
-        _refuse_unread(params, "qiur", "with input", "sigma_x", "box_length", "grid_n")
-        psi = qiur.wavefunction_from_csv(params["input"])
-    elif box_length > 0:
-        _refuse_unread(params, "qiur", "with box_length", "sigma_x")
-        psi = qiur.box_ground_state(box_length, n=params["grid_n"], units=units)
+    if path := params["input"]:
+        yield "with input"
+        psi = qiur.wavefunction_from_csv(path)
+    elif (box_length := require_positive("box_length", params["box_length"], least=0.0)) > 0:
+        n = params["grid_n"]
+        yield "with box_length"
+        psi = qiur.box_ground_state(box_length, n=n, units=units)
     else:
-        psi = qiur.gaussian_packet(params["sigma_x"], n=params["grid_n"])
+        sigma_x, n = params["sigma_x"], params["grid_n"]
+        yield
+        psi = qiur.gaussian_packet(sigma_x, n=n)
     report = qiur.entropy_report(psi, units)
     return report, {"bound_satisfied": report["satisfied"]}, None
 
 
-def _run_szilard(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_szilard(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import szilard
 
-    box = szilard.EngineBox(
-        length_L=params["length"],
-        temperature_T=params["temperature"],
-        mass_m=params["mass"],
-    )
-    ledger = szilard.run_cycle(
-        box, params["cycles"], seed, units, convention=params["convention"]
-    )
+    box = szilard.EngineBox(params["length"], params["temperature"], params["mass"])
+    cycles, convention = params["cycles"], params["convention"]
+    yield
+    ledger = szilard.run_cycle(box, cycles, seed, units, convention=convention)
     derived = {
-        "cycles": params["cycles"],
+        "cycles": cycles,
         "insertion_dS": ledger.insertion_dS,
         "net_dS": ledger.net_entropy(),
         "net_work": ledger.net_work(),
-        "work_per_cycle": ledger.net_work() / params["cycles"],
+        "work_per_cycle": ledger.net_work() / cycles,
         "sides": "".join(s[0] for s in ledger.sides),
     }
     return derived, ledger.verdicts(), ledger
 
 
-def _run_speed_demon(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_speed_demon(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import speed_demon
 
     gas = speed_demon.GasSpec(temperature_T=params["temperature"], mass_m=params["mass"])
-    if require_positive("nu_low", params["nu_low"], least=0.0) > 0:
-        _refuse_unread(params, "speed-demon", "with nu_low", "ratio")
-        probe = speed_demon.ProbeSpec(params["nu_low"])
+    if (nu_low := require_positive("nu_low", params["nu_low"], least=0.0)) > 0:
+        probe = speed_demon.ProbeSpec(nu_low)
     else:
         probe = speed_demon.ProbeSpec.from_energy_ratio(gas, params["ratio"], units)
-    door = require_positive("door", params["door"], least=0.0) or speed_demon.max_door_size(
-        speed_demon.rms_momentum(gas, units), units
-    )
+    door, attempts = require_positive("door", params["door"], least=0.0), params["attempts"]
+    yield nu_low > 0 and "with nu_low"
+    door = door or speed_demon.max_door_size(speed_demon.rms_momentum(gas, units), units)
     report = speed_demon.simulate_sorting(
-        gas, probe, speed_demon.SortingGeometry(door), params["attempts"], seed, units
+        gas, probe, speed_demon.SortingGeometry(door), attempts, seed, units
     )
     return asdict(report), report.verdicts(), None
 
 
-def _run_einstein(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_einstein(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import fluctuations as fluct
 
-    ratio = params["volume_ratio"]
-    energy = require_positive("energy", params["energy"], least=0.0)
-    frequency = require_positive("frequency", params["frequency"], least=0.0)
+    ratio, trials = params["volume_ratio"], params["trials"]
+    energy = require_positive("energy", params.peek("energy"), least=0.0)
+    frequency = require_positive("frequency", params.peek("frequency"), least=0.0)
     if energy > 0 and frequency > 0:
-        _refuse_unread(params, "einstein", "with energy and frequency", "n_components")
+        energy, frequency = params["energy"], params["frequency"]
         spec = fluct.FluctuationSpec.from_radiation(energy, frequency, ratio, units)
+        branch = ["with energy and frequency"]
     else:
-        _refuse_unread(params, "einstein", "if energy or frequency is 0", "energy", "frequency")
         spec = fluct.FluctuationSpec(params["n_components"], ratio)
+        branch = ["if energy or frequency is 0"] if energy or frequency else []
     b = require_positive("brillouin_b", params["brillouin_b"], least=0.0)
-    if b == 0:
-        _refuse_unread(params, "einstein", "without brillouin_b", "info_fraction")
     brillouin = fluct.BrillouinSpec(b, params["info_fraction"]) if b > 0 else None
-    derived, verdicts = fluct.fluctuation_report(spec, params["trials"], seed, brillouin, units)
+    yield " and ".join(branch if b > 0 else [*branch, "without brillouin_b"])
+    derived, verdicts = fluct.fluctuation_report(spec, trials, seed, brillouin, units)
     return derived, verdicts, None
 
 
-def _run_brownian(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
+def _run_brownian(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import brownian
 
-    if params["step_law"] == brownian.STEP_PLUS_MINUS_ONE:
-        _refuse_unread(params, "brownian", "under the +-1 step law", "sigma_step")
-    spec = brownian.WalkSpec(
-        n_steps=params["steps"],
-        n_walkers=params["walkers"],
-        rng_seed=seed,
-        step_law=params["step_law"],
-        sigma_step=params["sigma_step"],
-    )
+    law = params["step_law"]
+    sigma = {} if law == brownian.STEP_PLUS_MINUS_ONE else {"sigma_step": params["sigma_step"]}
+    spec = brownian.WalkSpec(params["steps"], params["walkers"], seed, law, **sigma)
+    yield law == brownian.STEP_PLUS_MINUS_ONE and "under the +-1 step law"
     report = brownian.simulate_walks(spec)
     derived = {
         "msd_final": report.msd[-1],
@@ -376,7 +372,7 @@ def _run_brownian(params: dict, units: UnitSystem, seed: int) -> RunnerResult:
     return derived, report.verdicts(), report
 
 
-RUNNERS: dict[str, Callable[[dict, UnitSystem, int], RunnerResult]] = {
+RUNNERS: dict[str, Callable[[Params, UnitSystem, int], Run]] = {
     "h-theorem": _run_h_theorem,
     "fgr": _run_fgr,
     "qiur": _run_qiur,
@@ -389,29 +385,38 @@ RUNNERS: dict[str, Callable[[dict, UnitSystem, int], RunnerResult]] = {
 
 def run(config: RunConfig) -> dict[str, Any]:
     """Execute the scenario, write its --output file, and return the report."""
-    if config.params["si"]:
-        _refuse_unread(config.params, config.scenario, "with si", "k", "h")
-    if not config.params["output"]:
-        _refuse_unread(config.params, config.scenario, "without output", "format")
+    params = Params(config.params)
+    units = UnitSystem.si() if params["si"] else UnitSystem(k=params["k"], h=params["h"])
+    seed, output = params["seed"], params["output"]
+    csv = output and params["format"] == "csv"
     start = time.perf_counter()
-    derived, verdicts, table = RUNNERS[config.scenario](
-        config.params, config.units(), config.seed
-    )
+    runner = RUNNERS[config.scenario](params, units, seed)
+    skipped_by = {"k": "with si", "h": "with si", "format": "without output"}
+    branch, unread = next(runner) or "", {}
+    for key, (_typ, default) in _param_table(config.scenario).items():
+        if key not in params.read and config.params[key] != default:
+            unread.setdefault(skipped_by.get(key, branch), []).append(key)
+    if unread:
+        raise InvalidInputError("; ".join(
+            f"{', '.join(keys)} set but not read {why}".rstrip() for why, keys in unread.items()))
+    try:
+        next(runner)
+    except StopIteration as done:
+        derived, verdicts, table = done.value
     report = {
         "scenario": config.scenario,
         "config": dict(config.params),
         "derived": derived,
         "verdicts": verdicts,
-        "seed": config.seed,
+        "seed": seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
     }
-    output = config.params["output"]
+    if csv:
+        json_dumps(report)  # write no CSV of a report that cannot be emitted
     if output:
-        if config.params["format"] == "csv":
-            json_dumps(report)  # write no CSV of a report that cannot be emitted
         try:
-            if config.params["format"] == "json":
+            if not csv:
                 write_json(output, report)
             elif table is None:
                 write_csv(output, KV_HEADER, kv_rows(derived))

@@ -138,9 +138,9 @@ def simulate_decay(gamma: float, n_samples: int, rng_seed: int) -> DecaySample:
     # each time -ln(1 - U) / gamma is below 37 / gamma (U < 1 has 53 bits), so when this
     # is finite, so are the times' sum, the lifetime and the curve's five lifetimes
     require_positive(f"gamma too small: 37 n_samples / {gamma!r}", 37.0 * n_samples / gamma)
-    rng = np.random.default_rng(rng_seed)
-    u = rng.random(n_samples)
-    times = -np.log1p(-u) / gamma
+    times = np.random.default_rng(rng_seed).random(n_samples)
+    np.log1p(np.negative(times, out=times), out=times)
+    times /= -gamma  # x / (-gamma) is -(x / gamma) exactly: the times of -ln(1 - U) / gamma
     times.sort()
     times.setflags(write=False)
     return DecaySample(gamma=gamma, seed=rng_seed, waiting_times=times)

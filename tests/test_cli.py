@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import re
@@ -690,3 +691,23 @@ class TestNegativeSeed:
         monkeypatch.setenv("DEMONLAB_SEED", "-1")
         ns = _namespace("szilard", seed="3")
         assert cli.resolve_config("szilard", ns).params["seed"] == 3
+
+
+def _unread_messages(path: Path) -> list[str]:
+    """Where a module builds the `set but not read` message: each enclosing function, innermost."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and "set but not read" in str(node.value):
+            around = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            name = max(around, key=lambda f: f.lineno).name if around else "<module>"
+            found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_only_cli_run_refuses_an_unread_key():
+    src = Path(cli.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 11
+    assert [where for path in modules for where in _unread_messages(path)] == ["cli.run"]

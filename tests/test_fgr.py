@@ -1,6 +1,7 @@
 """Golden-rule rates and seeded exponential decay sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,23 @@ class TestSimulateDecay:
             sample.survival(-1.0)
         with pytest.raises(InvalidInputError):
             sample.curve([0.0, -1.0])
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.3, 1e-300, 3e300])
+    def test_times_are_minus_log1p_of_minus_u_over_gamma_bit_for_bit(self, gamma):
+        u = np.random.default_rng(11).random(10_000)
+        expected = np.sort(-np.log1p(-u) / gamma)
+        got = fgr.simulate_decay(gamma, 10_000, rng_seed=11).waiting_times
+        assert got.tobytes() == expected.tobytes()
+
+    def test_draws_its_times_in_place(self):
+        # 10**6 float64 times are 7.63 MiB; a second array of them would double the peak
+        tracemalloc.start()
+        try:
+            fgr.simulate_decay(1.0, 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0
 
     def test_gamma_whose_waiting_times_overflow_rejected(self):
         # 37 n / gamma bounds the sum of n waiting times: 2e-302 at n = 1e5

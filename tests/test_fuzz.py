@@ -9,6 +9,8 @@ The run must exit 0, 1 or 2 without an exception; a failure writes exactly one
 stdout is empty or JSON with no NaN or Infinity. No warning may escape, except
 the speed-demon probe's documented gentle-probe UserWarning. A zero-means-unset
 flag (0.0 or -0.0 keeps its default) set below zero or to NaN must not exit 0.
+Each key set alone to a valid value away from its default is either read (a
+report) or refused in one error line that names it, before any work is done.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demonlab import cli
+from demonlab import brownian, cli, speed_demon
 
 #: Small counts: the net looks for escapes at float extremes, not for memory limits.
 COUNTS = {
@@ -140,3 +143,70 @@ def test_every_invocation_ends_in_a_report_or_one_error_line(scenario):
         assert escape(scenario, argv) is None, argv
 
     check()
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+#: A valid value away from its default for every key of every scenario; --si takes none.
+NON_DEFAULTS = {
+    "seed": "3", "k": "2", "h": "2", "si": None, "output": "report.json", "format": "csv",
+    "states": "5", "rates_file": str(GOLDEN / "rates.json"), "p0": "0.5,0.1,0.1,0.1,0.1,0.1",
+    "t_max": "10", "samples": "1000", "gamma": "2", "input": str(GOLDEN / "wavefn.csv"),
+    "sigma_x": "2", "box_length": "2", "grid_n": "128", "cycles": "3", "length": "2",
+    "temperature": "2", "mass": "2", "convention": "exact-gaussian", "nu_low": "0.01",
+    "ratio": "50", "door": "0.01", "attempts": "1000", "n_components": "2", "energy": "5",
+    "frequency": "1", "volume_ratio": "0.25", "trials": "20000", "brillouin_b": "1",
+    "info_fraction": "0.5", "steps": "50", "walkers": "500", "step_law": "gaussian",
+    "sigma_step": "2",
+}
+
+
+class ReadsSeen(cli.Params):
+    """cli.Params that also keeps every key read in the class-wide set seen."""
+
+    seen: set[str] = set()
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_each_key_set_alone_is_read_or_refused_by_name(scenario, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "Params", ReadsSeen)
+    broken = []
+    for key in cli._param_table(scenario):
+        flag = f"--{key.replace('_', '-')}"
+        argv = [scenario, flag if NON_DEFAULTS[key] is None else f"{flag}={NON_DEFAULTS[key]}"]
+        out, err = io.StringIO(), io.StringIO()
+        ReadsSeen.seen.clear()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        report = out.getvalue() != "" and lines == [] and key in ReadsSeen.seen
+        refused = (out.getvalue() == "" and len(lines) == 1 and key in lines[0]
+                   and lines[0].startswith(f"demonlab {scenario}: error: "))
+        if not (code == 0 and report or code == 1 and (report or refused)):
+            broken.append((argv, code, lines))
+    assert broken == []
+
+
+@pytest.mark.parametrize(
+    "module, work, argv, line",
+    [
+        (brownian, "simulate_walks", ["brownian", "--sigma-step", "3"],
+         "demonlab brownian: error: sigma_step set but not read under the +-1 step law"),
+        (speed_demon, "simulate_sorting", ["speed-demon", "--nu-low", "3", "--ratio", "5"],
+         "demonlab speed-demon: error: ratio set but not read with nu_low"),
+    ],
+    ids=["brownian", "speed-demon"],
+)
+def test_an_unread_key_is_refused_before_the_work(module, work, argv, line, monkeypatch, capsys):
+    # the work includes speed-demon's gentle-probe warning, which nu_low = 3 > kT would raise
+    def fail(*_args, **_kwargs):
+        raise AssertionError(f"{work} ran before the refusal")
+
+    monkeypatch.setattr(module, work, fail)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", line + "\n")

@@ -39,7 +39,12 @@ def test_json_rejects_non_finite_values(value):
 )
 def test_cli_reports_a_non_finite_value_as_one_error_line(output, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(cli.RUNNERS, "szilard", lambda *_: ({"x": np.inf}, {}, None))
+
+    def runner(*_):
+        yield
+        return {"x": np.inf}, {}, None
+
+    monkeypatch.setitem(cli.RUNNERS, "szilard", runner)
     assert cli.main(["szilard", *output]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
