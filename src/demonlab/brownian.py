@@ -72,6 +72,11 @@ class WalkSpec:
     def step_variance(self) -> float:
         return 1.0 if self.step_law == STEP_PLUS_MINUS_ONE else self.sigma_step**2
 
+    @property
+    def counted(self) -> bool:
+        """Whether the walk runs as counts of walkers per site: BLOCK_DRAWS +-1 walkers or more."""
+        return self.step_law == STEP_PLUS_MINUS_ONE and self.n_walkers >= BLOCK_DRAWS
+
 
 def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int | np.ndarray) -> np.ndarray:
     """The next k steps of every walker, one row each: float64 Gaussian steps, or int32 1 for
@@ -89,21 +94,32 @@ def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int | np.ndarray) -
     return bits.astype(np.int32).reshape(k, spec.n_walkers)
 
 
+def _counted(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
+    """The +-1 walk of BLOCK_DRAWS walkers or more as int64 counts of walkers per value of B, one
+    draw a step: per step, the lowest occupied B and the walkers from it to the highest occupied,
+    a view that the next step overwrites."""
+    rng = np.random.default_rng(spec.rng_seed)
+    counts, lo, hi = np.r_[spec.n_walkers, np.zeros(spec.n_steps, np.int64)], 0, 1
+    for _ in range(spec.n_steps):
+        occupied = counts[lo:hi]
+        up = _draw_steps(spec, rng, occupied)
+        occupied -= up
+        counts[lo + 1 : hi + 1] += up
+        lo, hi = lo + (not occupied[0]), hi + bool(up[-1])  # by one site at most
+        yield lo, counts[lo:hi]
+
+
 def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block, None),
     row i the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B,
     kept in int32 and copied into one buffer that the next block overwrites. From BLOCK_DRAWS +-1
     walkers up, per step: the occupied B as one row, its walkers as weights (in int64)."""
-    rng = np.random.default_rng(spec.rng_seed)
-    if spec.step_law == STEP_PLUS_MINUS_ONE and spec.n_walkers >= BLOCK_DRAWS:
-        counts, lo, hi = np.r_[spec.n_walkers, np.zeros(spec.n_steps, np.int64)], 0, 1
-        for t0 in range(spec.n_steps):
-            up = _draw_steps(spec, rng, counts[lo:hi])
-            counts[lo:hi] -= up
-            counts[lo + 1 : hi + 1] += up
-            lo, hi = lo + int(counts[lo] == 0), hi + int(counts[hi] > 0)  # by one site at most
-            yield t0, np.arange(lo, hi)[None], counts[lo:hi]
+    if spec.counted:
+        sites = np.arange(spec.n_steps + 1)
+        for t0, (lo, occupied) in enumerate(_counted(spec)):
+            yield t0, sites[None, lo : lo + occupied.size], occupied
         return
+    rng = np.random.default_rng(spec.rng_seed)
     k = -(-BLOCK_DRAWS // spec.n_walkers)
     last = np.zeros(spec.n_walkers, dtype=float if spec.step_law == STEP_GAUSSIAN else np.int32)
     mirror = np.empty((min(k, spec.n_steps), spec.n_walkers))
@@ -161,16 +177,22 @@ def simulate_walks(spec: WalkSpec) -> DiffusionReport:
     """
     n, w = spec.n_steps, spec.n_walkers
     times = np.arange(n + 1, dtype=float)
-    sums, squares = np.zeros(n + 1), np.zeros(n + 1)
-    for t0, block, weights in _walk(spec):
-        rows = slice(t0 + 1, t0 + 1 + len(block))
-        sums[rows] = block.sum(axis=1) if weights is None else block @ weights
-        if weights is not None:  # sum B^2 over the walkers, exact in int64
-            squares[rows] = (block * block) @ weights
-        elif spec.step_law == STEP_GAUSSIAN:
-            squares[rows] = (block * block).sum(axis=1)
-        else:  # by BLAS: whole numbers below 2**53 add exactly in any order
-            squares[rows] = (block[:, None, :] @ block[:, :, None]).ravel()
+    if spec.counted:
+        # sum B and sum B^2 over the walkers, exact in int64, by one product a step
+        b, moments = np.arange(n + 1), np.zeros((n + 1, 2), np.int64)
+        powers = np.stack((b, b * b))
+        for t, (lo, occupied) in enumerate(_counted(spec), 1):
+            np.matmul(powers[:, lo : lo + occupied.size], occupied, out=moments[t])
+        sums, squares = moments.T.astype(float)
+    else:
+        sums, squares = np.zeros(n + 1), np.zeros(n + 1)
+        for t0, block, _ in _walk(spec):
+            rows = slice(t0 + 1, t0 + 1 + len(block))
+            sums[rows] = block.sum(axis=1)
+            if spec.step_law == STEP_GAUSSIAN:
+                squares[rows] = (block * block).sum(axis=1)
+            else:  # by BLAS: whole numbers below 2**53 add exactly in any order
+                squares[rows] = (block[:, None, :] @ block[:, :, None]).ravel()
     if spec.step_law == STEP_PLUS_MINUS_ONE:  # the identities of the module docstring
         sums, squares = 2.0 * sums - w * times, 4.0 * (squares - times * sums) + w * times * times
     mean, msd = sums / w, squares / w

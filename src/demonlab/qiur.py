@@ -12,14 +12,16 @@ wavefunction is the hbar-scaled Fourier transform
     phi(p) = (2*pi*hbar)^(-1/2) int psi(x) exp(-i p x / hbar) dx,
 
 discretized here so that Parseval holds exactly on the grid (dp * N * dx =
-h). A real psi has an even |phi|, |phi_{N-k}| = |phi_k|, so its entropy takes a
-half-length real FFT. Differential entropies are reported in nats relative to
-the unit length/momentum of the active UnitSystem; individual values shift
-under unit changes, but the joint sum against ln(he/2) is invariant, and that
-sum is the physical object.
+h). Differential entropies are reported in nats relative to the unit
+length/momentum of the active UnitSystem; individual values shift under unit
+changes, but the joint sum against ln(he/2) is invariant, and that sum is the
+physical object.
 
-The packet build and the entropy passes run on cache-sized blocks of BLOCK points, summed in
-numpy's own pairwise order (bit-equal to np.sum); all is pure, with per-call scratch blocks.
+entropy_report takes |phi|^2 from a four-step FFT (Bailey 1990) of cache-sized rows, written
+over the spectrum's own memory; a real psi has an even |phi|, |phi_{N-k}| = |phi_k|, so it
+transforms half the rows and counts the mirrored ones twice. The packet build and the
+elementwise entropy passes run on cache-sized blocks of BLOCK points; all is pure, with
+per-call scratch.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import csv
 import math
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .units import NATURAL_UNITS, UnitSystem
 MIN_GRID_POINTS, MAX_GRID_POINTS = 64, 2**22
 #: Points per block of the elementwise passes: 128 KiB of float64 stays in L2 cache.
 BLOCK = 2**14
+#: The momentum density takes a four-step FFT of gcd(N, FOUR_STEP_ROWS) rows from
+#: FOUR_STEP_MIN points up; below, one whole FFT is faster (BENCH_25.json).
+FOUR_STEP_ROWS, FOUR_STEP_MIN = 32, 2**15
 
 
 @dataclass(frozen=True)
@@ -107,76 +111,108 @@ class GaussianState:
         require_positive("sigma_p", self.sigma_p)
 
 
-def _spectrum(psi: Grid, units: UnitSystem, rho: bool = False) -> tuple[float, float, np.ndarray]:
-    """(p_0, dp, amplitudes) of to_momentum without its origin phase, which |phi|^2 never sees:
-    the FFT centred by a roll of N//2 (DFT shift theorem); with rho, |phi|^2 of the rfft bins
-    0 .. N//2 alone for a real psi. Squaring keeps the order, so |phi|^2 holds the same peak."""
+def _momentum_spacing(psi: Grid, units: UnitSystem) -> tuple[float, str]:
+    """(dp, the source its errors name): dp = h / (N dx), refused unless normal, which keeps
+    |phi|^2 <= 1/dp finite. Once |phi|^2 is known, its peak is checked too: rho ln rho is summed
+    before dp scales it, with sum rho = 1/dp and rho up to max |phi|^2 >= 1/(N dp)."""
     source = f"{units} and the position spacing {psi.spacing!r}"
-    # a normal dp keeps |phi|^2 <= 1/dp finite
     dp = 2.0 * math.pi * units.hbar / (psi.n * psi.spacing)
-    require_positive(f"the momentum spacing of {source}", dp, least=NORMAL)
-    half = rho and not np.iscomplexobj(psi.amps)
-    spectrum = np.fft.rfft(psi.amps) if half else np.fft.fftshift(np.fft.fft(psi.amps))
-    spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)
-    if rho:  # as Grid.density
-        spectrum = np.abs(spectrum)
-        spectrum *= spectrum
-    peak = float(spectrum.max()) if rho else float(np.abs(spectrum).max()) ** 2
-    # rho ln rho is summed before dp scales it: sum rho = 1/dp, rho up to max |amps|^2 >= 1/(n dp)
-    require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
-    return -(psi.n // 2) * dp, dp, spectrum
+    return require_positive(f"the momentum spacing of {source}", dp, least=NORMAL), source
+
+
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """exp(i angle): cos and sin beat a complex exp."""
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
     """hbar-scaled Fourier transform onto the centred conjugate grid p_k = (k - N//2) * dp,
     dp = h/(N*dx); the scaling makes Parseval exact: sum |phi|^2 dp == sum |psi|^2 dx."""
-    p0, dp, spectrum = _spectrum(psi, units)
-    m, turns = psi.n // 2, psi.origin / (psi.n * psi.spacing)
-    source = f"{units} and the position spacing {psi.spacing!r}"
+    dp, source = _momentum_spacing(psi, units)
+    # the FFT centred by a roll of N//2 (DFT shift theorem)
+    spectrum = np.fft.fftshift(np.fft.fft(psi.amps))
+    spectrum *= psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)
+    peak = float(np.abs(spectrum).max()) ** 2
+    require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
+    p0, m, turns = -(psi.n // 2) * dp, psi.n // 2, psi.origin / (psi.n * psi.spacing)
     # a NaN turn count comes first, so that max returns it
     require_positive(f"the momentum extent and turn count of {source}", max(m * abs(turns), -p0))
-    # exp(-2 pi i t), p_k origin / hbar = 2 pi t less whole turns; cos and sin beat a complex exp
+    # exp(-2 pi i t), p_k origin / hbar = 2 pi t less whole turns
     t = (np.arange(psi.n) - m) * turns
-    angle = -2.0 * math.pi * (t - np.rint(t))
-    phase = np.empty(psi.n, dtype=complex)
-    np.cos(angle, out=phase.real)
-    np.sin(angle, out=phase.imag)
+    phase = _cis(-2.0 * math.pi * (t - np.rint(t)))
     return Grid(p0, dp, np.multiply(spectrum, phase, out=spectrum), True)
 
 
-def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], lo: int, hi: int) -> np.float64:
-    """np.sum of the points lo .. hi-1 that leaf(lo, hi) gives as contiguous float64 blocks in
-    logical order, bit for bit: halves at n//2 less n//2 % 8 down to BLOCK, as numpy does."""
-    if hi - lo <= BLOCK:
-        return np.sum(leaf(lo, hi))
-    mid = lo + (hi - lo) // 2 // 8 * 8
-    return _pairwise_sum(leaf, lo, mid) + _pairwise_sum(leaf, mid, hi)
+def _split(n: int) -> int:
+    """n1 of the four-step split n = n1 * n2: gcd(n, FOUR_STEP_ROWS), or n itself, one whole
+    FFT, below FOUR_STEP_MIN points or where the gcd is below 8."""
+    n1 = math.gcd(n, FOUR_STEP_ROWS)
+    return n if n < FOUR_STEP_MIN or n1 < 8 else n1
 
 
-def _entropy(rho: np.ndarray, spacing: float, n: int) -> float:
-    """differential_entropy of rho, which turns into rho ln rho; a rho of fewer than n points holds
-    half bins, read in to_momentum's order N//2 .. 1, 0, 1 .. (N-1)//2: |phi_{N-k}| = |phi_k|."""
-    m, scratch = (n // 2 if rho.size < n else 0), np.empty(min(n, BLOCK))
+def _twiddle(spectrum: np.ndarray, n: int) -> None:
+    """spectrum[k1, j] *= exp(-2 pi i k1 j / n) in place, from two small tables: j = h w + l with
+    w = ceil(sqrt(n2)) gives the factor exp(-2 pi i k1 h w / n) exp(-2 pi i k1 l / n), each
+    exponent reduced mod n in integers; row k1 = 0 takes none."""
+    rows, n2 = spectrum.shape
+    w = math.isqrt(n2 - 1) + 1
+    k1 = np.arange(1, rows)[:, None]
+    high, low = (_cis(k1 * j % n * (-2.0 * math.pi / n))
+                 for j in (np.arange(0, n2, w), np.arange(w)))
+    factor = np.empty((high.shape[1], w), dtype=complex)
+    for row, h, l in zip(spectrum[1:], high, low):
+        row *= np.multiply(h[:, None], l, out=factor).reshape(-1)[:n2]
 
-    def leaf(lo: int, hi: int) -> np.ndarray:
-        if lo >= m:
-            return rho[lo - m : hi - m]
-        mid, out = min(hi, m), scratch[: hi - lo]  # the points below m read rho backwards
-        out[: mid - lo] = rho[m - mid + 1 : m - lo + 1][::-1]
-        out[mid - lo :] = rho[: hi - mid]
-        return out
 
-    total = _pairwise_sum(leaf, 0, n) * spacing
+def _momentum_density(psi: Grid, units: UnitSystem) -> tuple[float, np.ndarray, slice]:
+    """(dp, |phi|^2, twice) without to_momentum's origin phase, which |phi|^2 never sees, by
+    the four-step FFT (Bailey 1990): with n = n1 n2, length-n1 FFTs down the columns of psi as
+    n1 rows, the twiddles, then length-n2 FFTs along the rows in place put X_{k1 + n1 k2} at
+    row k1, column k2. |phi|^2 is then written over the spectrum's own memory. A real psi takes
+    the rfft rows k1 <= n1/2 alone: |X_{n-k}| = |X_k| maps row k1 to row n1 - k1, so each entry
+    of rho[twice], the rows 0 < k1 < n1/2, stands for two points."""
+    dp, source = _momentum_spacing(psi, units)
+    n1 = _split(psi.n)
+    n2, real = psi.n // n1, not np.iscomplexobj(psi.amps)
+    columns = psi.amps.reshape(n1, n2)
+    spectrum = np.fft.rfft(columns, axis=0) if real else np.fft.fft(columns, axis=0)
+    if n2 > 1:
+        _twiddle(spectrum, psi.n)
+        np.fft.fft(spectrum, axis=1, out=spectrum)
+    spectrum = spectrum.reshape(-1)
+    rho, scratch = spectrum.view(float), np.empty(min(spectrum.size, BLOCK))
+    scale = psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)
+    for lo in range(0, spectrum.size, BLOCK):  # rho[lo:] overlays spectrum[lo // 2:], read already
+        block = np.abs(spectrum[lo : lo + BLOCK], out=scratch[: spectrum.size - lo])
+        block *= scale  # before squaring, as to_momentum scales phi
+        rho[lo : lo + block.size] = np.multiply(block, block, out=block)
+    rho = rho[: spectrum.size]
+    require_positive(f"sum rho ln rho of {source}", (abs(math.log(rho.max())) + 1) / dp)
+    return dp, rho, slice(n2, (n1 + 1) // 2 * n2) if real else slice(0)
+
+
+def _entropy(rho: np.ndarray, spacing: float, twice: slice = slice(0)) -> float:
+    """differential_entropy of the contiguous rho, which turns into rho ln rho; each entry of
+    rho[twice] stands for two points."""
+
+    def integral() -> float:
+        return (np.sum(rho) + np.sum(rho[twice])) * spacing
+
+    total = integral()
     # a NaN or negative entry shows in the min (0 if empty), a +inf one in the total
     if not rho.min(initial=0.0) >= 0 or (math.isinf(total) and not np.isfinite(rho).all()):
         raise InvalidInputError("density must be finite and nonnegative")
     if abs(total - 1.0) > 1e-8:
         raise InvalidInputError(f"density not normalized: integral = {total!r}")
+    scratch = np.empty(min(rho.size, BLOCK))
     for lo in range(0, rho.size, BLOCK):  # rho ln rho, in place; 0 ln(ulp) = 0
         block = rho[lo : lo + BLOCK]
         terms = np.maximum(block, math.ulp(0.0), out=scratch[: block.size])
         block *= np.log(terms, out=terms)
-    return float(-_pairwise_sum(leaf, 0, n) * spacing)
+    return float(-integral())
 
 
 def differential_entropy(density: np.ndarray, spacing: float) -> float:
@@ -185,7 +221,7 @@ def differential_entropy(density: np.ndarray, spacing: float) -> float:
     if rho.ndim != 1:
         raise InvalidInputError("density must be one-dimensional")
     require_positive("spacing", spacing)
-    return _entropy(rho, spacing, rho.size)
+    return _entropy(rho, spacing)
 
 
 def gaussian_information(sigma: float) -> float:
@@ -206,9 +242,9 @@ def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float
 
 def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     """I_x, I_p, their sum, the bound, and whether the bound is satisfied."""
-    i_x = _entropy(psi.density(), psi.spacing, psi.n)
-    _, dp, rho = _spectrum(psi, units, rho=True)
-    i_p = _entropy(rho, dp, psi.n)
+    i_x = _entropy(psi.density(), psi.spacing)
+    dp, rho, twice = _momentum_density(psi, units)
+    i_p = _entropy(rho, dp, twice)
     bound, joint = qiur_bound(units), i_x + i_p
     return {"I_x": i_x, "I_p": i_p, "joint": joint, "bound": bound,
             "satisfied": bool(joint >= bound - 1e-3)}

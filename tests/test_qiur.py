@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -479,7 +481,7 @@ def traced_peak_mib(call) -> float:
 
 
 class TestRealAmplitudes:
-    """A real state takes the half-length rfft, its complex copy the full FFT."""
+    """A real state takes the rfft rows of the split, its complex copy the full FFT."""
 
     @pytest.mark.parametrize("units", [NATURAL_UNITS, HBAR_ONE], ids=["h1", "hbar1"])
     @pytest.mark.parametrize(
@@ -574,48 +576,54 @@ def random_real_state(n: int) -> qiur.Grid:
 
 
 BLOCK_SIZES = [64, 4097, 2**17 + 7, 2**20]
+#: Below and above the four-step crossover; gcd(N, 32) of 32, 2 and 1 among them.
+REFERENCE_SIZES = [64, 65, 4097, 3 * 2**10, 2 * 499979, 999983, *(2**k for k in range(12, 23))]
+REFERENCE_STATES = [
+    lambda n, units: qiur.gaussian_packet(0.7, n=n),
+    lambda n, units: qiur.box_ground_state(1.0, n=n, units=units),
+    lambda n, units: random_mixture(np.random.default_rng(n), units, n=n),
+]
+EPS = float(np.finfo(float).eps)
 
 
 class TestBlocks:
-    """The blocked passes give the bits of whole-array numpy calls."""
-
-    @pytest.mark.parametrize(
-        "n", [64, 65, 127, 128, 129, 1000, 2**14 - 1, 2**14, 2**14 + 1, 2**14 + 7, 2**15 + 3,
-              10**5 + 3, 2**17 + 7, 2**20, 2**22],
-    )
-    def test_pairwise_sum_is_np_sum(self, n):
-        rng = np.random.default_rng(n)
-        mixes = [  # uniform, signed over 260 decades, and half zeros
-            lambda: rng.random(n),
-            lambda: rng.standard_normal(n) * np.exp(rng.uniform(-300.0, 300.0, n)),
-            lambda: np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n)),
-        ]
-        for mix in mixes:
-            values = mix()
-            got = qiur._pairwise_sum(lambda lo, hi: values[lo:hi], 0, n)
-            assert np.float64(got).tobytes() == np.sum(values).tobytes()
+    """The blocked passes give the bits of whole-array numpy calls, and the four-step momentum
+    density agrees with one whole-array FFT within float64 rounding."""
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_packet_is_the_whole_array_packet(self, n):
         assert np.array_equal(qiur.gaussian_packet(0.7, n=n).amps, whole_array_packet(0.7, n))
 
-    @pytest.mark.parametrize("units", [NATURAL_UNITS, HBAR_ONE], ids=["h1", "hbar1"])
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda n, units: qiur.gaussian_packet(0.7, n=n),
-            lambda n, units: qiur.box_ground_state(1.0, n=n, units=units),
-            lambda n, units: random_real_state(n),
-            lambda n, units: random_mixture(np.random.default_rng(n), units, n=n),
-        ],
-        ids=["packet", "box", "real", "complex"],
-    )
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_entropy_report_is_the_whole_array_report(self, n, build, units):
-        psi = build(n, units)
-        report = qiur.entropy_report(psi, units)
-        assert (report["I_x"], report["I_p"]) == whole_array_report(psi, units)
+    @pytest.mark.parametrize("build", REFERENCE_STATES, ids=["packet", "box", "complex"])
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    def test_entropy_report_agrees_with_the_whole_array_report(self, n, build):
+        # I_x is the same np.sum; I_p takes the four-step FFT and weighted row sums, so it
+        # agrees within a bound fixed from float64 beforehand: 4 eps log2 N (1 + |I_p|)
+        psi = build(n, NATURAL_UNITS)
+        report = qiur.entropy_report(psi)
+        i_x, i_p = whole_array_report(psi, NATURAL_UNITS)
+        assert report["I_x"] == i_x
+        assert abs(report["I_p"] - i_p) <= 4 * EPS * math.log2(n) * (1 + abs(i_p))
         assert report["joint"] == report["I_x"] + report["I_p"]
+
+    @pytest.mark.parametrize("build", [
+        lambda n, units: random_real_state(n),
+        lambda n, units: random_mixture(np.random.default_rng(n), units, n=n),
+    ], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [64, 4097, 2**17 + 7, 2**20])
+    def test_entropy_report_agrees_with_the_whole_array_report_at_hbar_one(self, n, build):
+        psi = build(n, HBAR_ONE)
+        report = qiur.entropy_report(psi, HBAR_ONE)
+        i_x, i_p = whole_array_report(psi, HBAR_ONE)
+        assert report["I_x"] == i_x
+        assert abs(report["I_p"] - i_p) <= 4 * EPS * math.log2(n) * (1 + abs(i_p))
+
+    @pytest.mark.parametrize("n, rows", [
+        (64, 64), (2**15 - 32, 2**15 - 32), (2**15, 32), (3 * 2**16, 32), (8 * 125001, 8),
+        (4 * 2**18 + 4, 4 * 2**18 + 4), (999983, 999983), (2**22, 32),
+    ])
+    def test_the_split_takes_gcd_rows_from_the_crossover_up(self, n, rows):
+        assert qiur._split(n) == rows
 
     @pytest.mark.parametrize("n", [64, 4097, 2**17 + 7])
     def test_differential_entropy_is_the_whole_array_sum(self, n):
@@ -626,3 +634,32 @@ class TestBlocks:
     def test_a_2_20_point_report_peaks_at_12_5_mib(self):
         psi = qiur.gaussian_packet(1.0, n=2**20)
         assert traced_peak_mib(lambda: qiur.entropy_report(psi)) <= 12.5
+
+    def test_a_2_20_point_momentum_density_holds_one_half_length_array(self):
+        # the rfft rows k1 <= 16 of the 32-row split, 2^19 + 2^15 complex values in 8.5 MiB,
+        # and one 0.5 MiB row of twiddles: no second array of the spectrum's size
+        psi = qiur.gaussian_packet(1.0, n=2**20)
+        assert traced_peak_mib(lambda: qiur._momentum_density(psi, NATURAL_UNITS)) <= 9.5
+
+    def test_a_2_20_point_report_grows_a_fresh_process_by_12_mb_at_most(self):
+        # tracemalloc sees what numpy allocates alone: pocketfft's plans, twiddle tables and
+        # copy buffers come from C++ new and malloc, outside Python's hooks. A whole 2^20-point
+        # rfft grows the resident set by about 16 MB where it traces 8 MiB, so the bound is on
+        # the peak resident set of a fresh process, after the packet is built. It is read as
+        # VmHWM (KiB, Linux), not ru_maxrss: a child's ru_maxrss starts at the high-water mark
+        # of the process that spawned it, which in a long test run hides any growth here
+        code = (
+            "from demonlab import qiur\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+            "psi = qiur.gaussian_packet(1.0, n=2**20)\n"
+            "before = peak()\n"
+            "qiur.entropy_report(psi)\n"
+            "print(peak() - before)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert 0 < int(result.stdout) / 1024 <= 12
