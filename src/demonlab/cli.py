@@ -218,8 +218,8 @@ class Params:
         return self.values[key]
 
 
-#: Yields the branch's phrase, then returns (derived, verdicts, the CSV table's report or None).
-Run = Generator[str | None, None, tuple[dict[str, Any], dict[str, bool], Any]]
+#: Yields the branch's phrase or {key: phrase}, then returns (derived, verdicts, table or None).
+Run = Generator[str | dict[str, str] | None, None, tuple[dict[str, Any], dict[str, bool], Any]]
 
 
 def _run_h_theorem(params: Params, units: UnitSystem, seed: int) -> Run:
@@ -342,13 +342,12 @@ def _run_einstein(params: Params, units: UnitSystem, seed: int) -> Run:
     if energy > 0 and frequency > 0:
         energy, frequency = params["energy"], params["frequency"]
         spec = fluct.FluctuationSpec.from_radiation(energy, frequency, ratio, units)
-        branch = ["with energy and frequency"]
     else:
         spec = fluct.FluctuationSpec(params["n_components"], ratio)
-        branch = ["if energy or frequency is 0"] if energy or frequency else []
     b = require_positive("brillouin_b", params["brillouin_b"], least=0.0)
     brillouin = fluct.BrillouinSpec(b, params["info_fraction"]) if b > 0 else None
-    yield " and ".join(branch if b > 0 else [*branch, "without brillouin_b"])
+    yield {"n_components": "with energy and frequency", "info_fraction": "without brillouin_b",
+           **dict.fromkeys(("energy", "frequency"), "if energy or frequency is 0")}
     derived, verdicts = fluct.fluctuation_report(spec, trials, seed, brillouin, units)
     return derived, verdicts, None
 
@@ -393,6 +392,8 @@ def run(config: RunConfig) -> dict[str, Any]:
     runner = RUNNERS[config.scenario](params, units, seed)
     skipped_by = {"k": "with si", "h": "with si", "format": "without output"}
     branch, unread = next(runner) or "", {}
+    if isinstance(branch, dict):  # einstein names one decision per key
+        skipped_by, branch = skipped_by | branch, ""
     for key, (_typ, default) in _param_table(config.scenario).items():
         if key not in params.read and config.params[key] != default:
             unread.setdefault(skipped_by.get(key, branch), []).append(key)

@@ -81,11 +81,7 @@ class DecaySample:
 
     def survival(self, t: float) -> float:
         """Empirical fraction still undecayed at time t (exactly 1.0 at t = 0)."""
-        if t < 0:
-            raise InvalidInputError("time must be nonnegative")
-        # times are sorted; count entries >= t
-        idx = np.searchsorted(self.waiting_times, t, side="left")
-        return float(self.n_samples - idx) / self.n_samples
+        return float(self.curve([t])[1][0])
 
     def mean_waiting_time(self) -> float:
         return float(self.waiting_times.mean())

@@ -253,6 +253,7 @@ class HTheoremReport:
     monotone: bool
     min_production: float
     terminal_dist: float
+    productive: bool
 
     def to_rows(self) -> list[tuple[float, float, float, float]]:
         return list(
@@ -265,11 +266,8 @@ class HTheoremReport:
         )
 
     def verdicts(self) -> dict[str, bool]:
-        """S(t) never falls by more than 1e-12; dS/dt >= -1e-12 at every sample."""
-        return {
-            "entropy_monotone": self.monotone,
-            "production_nonnegative": bool(self.min_production >= -1e-12),
-        }
+        """S(t) never falls, nor is dS/dt negative, by more than verify_h_theorem's bounds."""
+        return {"entropy_monotone": self.monotone, "production_nonnegative": self.productive}
 
 
 def verify_h_theorem(
@@ -280,11 +278,14 @@ def verify_h_theorem(
 ) -> HTheoremReport:
     """Sample S(t), its production rate, and the distance to equilibrium.
 
-    The verdict is monotone=True iff the sampled entropy never decreases by
-    more than 1e-12 between consecutive samples. p0 must be interior
-    (all entries > PROB_FLOOR); samples are floored there before the
-    production rate is evaluated, per the documented regularization. All
-    samples are computed at once, as one array with a row per time.
+    Both verdicts are checked in units of k, before k scales the report,
+    against first-order rounding bounds (Higham 2002, ch. 3) on n states:
+    S/k may fall by 4 (n + 2) eps max(1, S/k) between samples, and a rate/k
+    may read -4 (n + 1) eps ln(1 / min p) max_j r_j, with r_j the exit rate
+    of state j. p0 must be interior (all entries > PROB_FLOOR); samples are
+    floored there before the production rate is evaluated, per the
+    documented regularization. All samples are computed at once, as one
+    array with a row per time.
     """
     ts = np.asarray(list(t_grid), dtype=float)
     if ts.size < 1:
@@ -302,19 +303,22 @@ def verify_h_theorem(
     floored /= floored.sum(axis=1, keepdims=True)
     production = _production_rates(floored, rates.generator, 1.0)
     largest = max(float(np.abs(entropy).max()), float(np.abs(production).max()))
+    n, eps = rates.n, np.finfo(float).eps
+    monotone = np.diff(entropy).min(initial=0.0) >= -4 * (n + 2) * eps * max(1.0, entropy.max())
+    exits = math.log(floored.min()) * rates.generator.diagonal().min()  # ln(1/min p) max_j r_j
+    productive = production.min() >= -4 * (n + 1) * eps * exits
     require_positive(f"{units}'s k times {largest!r}", units.k * largest, least=0.0)
     entropy, production = units.k * entropy, units.k * production
     dist = np.max(np.abs(samples - p_eq.p), axis=1)
-
-    monotone = bool(np.all(np.diff(entropy) >= -1e-12))
     return HTheoremReport(
         times=_freeze(ts),
         entropy=_freeze(entropy),
         production_rate=_freeze(production),
         dist_to_eq=_freeze(dist),
-        monotone=monotone,
+        monotone=bool(monotone),
         min_production=float(production.min()),
         terminal_dist=float(dist[-1]),
+        productive=bool(productive),
     )
 
 

@@ -81,10 +81,6 @@ class Grid:
     def n(self) -> int:
         return self.amps.size
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.n)
-
     def density(self) -> np.ndarray:
         rho = np.abs(self.amps)
         return np.multiply(rho, rho, out=rho)

@@ -43,6 +43,7 @@ SIDES = (SIDE_WHOLE, SIDE_LEFT, SIDE_RIGHT)
 CONVENTION_BOX_SCALE = "box-scale"
 CONVENTION_EXACT = "exact-gaussian"
 CONVENTIONS = (CONVENTION_BOX_SCALE, CONVENTION_EXACT)
+_ULP_LN2 = math.ulp(math.log(2.0))  # the ledger's rounding slack per cycle, in units of k
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,7 @@ class EntropyLedger:
     bath_dS: float
     work: float
     left: np.ndarray
+    k: float
 
     @property
     def sides(self) -> list[str]:
@@ -156,7 +158,7 @@ class EntropyLedger:
         return float(np.cumsum(np.full(self.left.size, self.work))[-1:].sum())
 
     def prefix_nonnegative(self) -> bool:
-        return bool(np.all(self.cumulative_entropy() >= -1e-12))
+        return bool(np.all(self.cumulative_entropy() / self.k >= -self.left.size * _ULP_LN2))
 
     def to_rows(self) -> list[tuple]:
         steps = (("insertion", self.insertion_dS, 0.0), ("expansion", self.bath_dS, self.work))
@@ -164,10 +166,11 @@ class EntropyLedger:
         return [(i // 2 + 1, *steps[i % 2], c) for i, c in enumerate(cum)]
 
     def verdicts(self) -> dict[str, bool]:
-        """No prefix of the ledger below -1e-12, and a net of zero within 1e-12."""
+        """No prefix below -n_cycles ulp(ln 2) and a net within it, in units of k: correct prefix
+        sums alternate ln 2 and 0, and 2 n_cycles additions round by ulp(ln 2) / 2 at most."""
         return {
             "prefix_nonnegative": self.prefix_nonnegative(),
-            "net_entropy_zero": bool(abs(self.net_entropy()) <= 1e-12),
+            "net_entropy_zero": bool(abs(self.net_entropy() / self.k) <= self.left.size * _ULP_LN2),
         }
 
 
@@ -199,4 +202,4 @@ def run_cycle(
     require_positive(f"n_cycles * kT ln 2 of {box} and {units}", n_cycles * work, least=0.0)
     left = np.append(inserted.side == SIDE_LEFT, rng.random(n_cycles - 1) < 0.5)
     left.setflags(write=False)
-    return EntropyLedger(ds_insert, ds_bath, work, left)
+    return EntropyLedger(ds_insert, ds_bath, work, left, units.k)

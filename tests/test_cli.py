@@ -711,3 +711,20 @@ def test_only_cli_run_refuses_an_unread_key():
     modules = sorted(src.glob("*.py"))
     assert len(modules) >= 11
     assert [where for path in modules for where in _unread_messages(path)] == ["cli.run"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--energy", "5"], "energy set but not read if energy or frequency is 0"),
+        (["--frequency", "5", "--info-fraction", "0.5"],
+         "frequency set but not read if energy or frequency is 0; "
+         "info_fraction set but not read without brillouin_b"),
+        (["--energy", "5", "--frequency", "1", "--n-components", "2"],
+         "n_components set but not read with energy and frequency"),
+    ],
+    ids=["energy", "frequency-and-info-fraction", "n-components"],
+)
+def test_each_unread_einstein_key_names_the_one_decision_that_skipped_it(argv, line, capsys):
+    assert cli.main(["einstein", *argv]) == 1
+    assert capsys.readouterr() == ("", f"demonlab einstein: error: {line}\n")

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -164,10 +166,10 @@ class TestMonteCarloFluctuation:
 
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_counts_the_rows_whose_largest_draw_is_inside(self, n):
-        # two full chunks and a partial one, each counted by its row maxima
-        trials, ratio = 2 * fl._MC_CHUNK + 1001, 0.5 ** (1 / n)
+        # three pieces of one stream, each counted by its row maxima
+        trials, ratio = 2 * 200_000 + 1001, 0.5 ** (1 / n)
         rng, hits = np.random.default_rng(9), 0
-        for chunk in (fl._MC_CHUNK, fl._MC_CHUNK, 1001):
+        for chunk in (200_000, 200_000, 1001):
             hits += int(np.count_nonzero(rng.random((chunk, n)).max(axis=1) < ratio))
         spec = fl.FluctuationSpec(n, ratio)
         assert fl.monte_carlo_fluctuation(spec, trials, rng_seed=9) == hits / trials
@@ -177,6 +179,73 @@ class TestMonteCarloFluctuation:
         a = fl.monte_carlo_fluctuation(spec, 50_000, rng_seed=7)
         b = fl.monte_carlo_fluctuation(spec, 50_000, rng_seed=7)
         assert a == b
+
+
+class TestTwoHalves:
+    """The trials are counted in two halves, the second from the stream advanced past the first."""
+
+    @pytest.mark.parametrize(
+        "seed, skipped, m", [(0, 0, 5), (1, 1, 7), (2, 5003 * 3, 64), (9, 2**16 + 1, 3)]
+    )
+    def test_advance_skips_exactly_one_output_per_double(self, seed, skipped, m):
+        jumped = np.random.Generator(np.random.PCG64(seed).advance(skipped)).random(m)
+        assert np.array_equal(jumped, np.random.default_rng(seed).random(skipped + m)[skipped:])
+
+    @pytest.mark.parametrize("trials", [10**4 + 1, 2 * 2**16 + 7])
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    @pytest.mark.parametrize("ratio", ["one", "least", "half-chance"])
+    def test_the_count_is_the_one_stream_count(self, trials, n, ratio):
+        r = {"one": 1.0, "least": 2.0**-1074, "half-chance": 0.5 ** (1 / n)}[ratio]
+        hits = (np.random.default_rng(11).random((trials, n)) < r).all(axis=1).sum()
+        emp = fl.monte_carlo_fluctuation(fl.FluctuationSpec(n, r), trials, rng_seed=11)
+        assert emp == hits / trials
+
+    def test_concurrent_calls_each_count_their_own_stream(self):
+        # four callers and their four second halves on two CPUs, switching as often as can be
+        spec, trials, results = fl.FluctuationSpec(3, 0.5), 100_001, {}
+        expected = {
+            seed: (np.random.default_rng(seed).random((trials, 3)) < 0.5).all(axis=1).sum() / trials
+            for seed in range(4)
+        }
+
+        def call(seed):
+            results[seed] = fl.monte_carlo_fluctuation(spec, trials, rng_seed=seed)
+
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == expected
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        fl.monte_carlo_fluctuation(fl.FluctuationSpec(3, 0.5), 100_001, rng_seed=1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("source", ["Generator", "default_rng"], ids=["second", "calling"])
+    def test_a_failure_in_either_half_reaches_the_caller_as_itself(self, source, monkeypatch):
+        planted = RuntimeError("planted")
+
+        class Failing:
+            def __init__(self, *_args):
+                pass
+
+            def random(self, out):
+                raise planted
+
+        monkeypatch.setattr(np.random, source, Failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            fl.monte_carlo_fluctuation(fl.FluctuationSpec(3, 0.5), 100_000, rng_seed=1)
+        assert caught.value is planted
+        assert threading.active_count() == before
 
 
 class TestBrillouinBalance:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from demonlab import markov
+from demonlab import cli, markov
 from demonlab.errors import InvalidInputError, NonUniqueEquilibriumError
 from demonlab.reporting import write_csv
 from demonlab.units import UnitSystem
@@ -499,3 +499,33 @@ class TestReportEmission:
         )
         assert report.verdicts() == {"entropy_monotone": True, "production_nonnegative": True}
         assert all(type(v) is bool for v in report.verdicts().values())
+
+
+class TestVerdictsInUnitsOfK:
+    def test_a_large_k_leaves_every_correct_run_passing(self, capsys):
+        # dS/k between samples reads down to -7e-16 from rounding; times k = 1e4, that was
+        # below a fixed -1e-12 on 17 of these 20 seeds
+        codes = [cli.main(["h-theorem", "--k", "1e4", "--seed", str(seed)]) for seed in range(20)]
+        capsys.readouterr()
+        assert codes == [0] * 20
+
+    @pytest.mark.parametrize("k", [1.380649e-23, 1e-4, 1.0, 1e4, 1e20])
+    def test_the_verdicts_do_not_depend_on_k(self, k):
+        rates = markov.random_symmetric_rates(8, np.random.default_rng(3))
+        p0 = markov.ProbDist(np.random.default_rng(4).dirichlet(np.ones(8)))
+        grid = np.linspace(0.0, 25.0 / markov.spectral_gap(rates), 200)
+        reference = markov.verify_h_theorem(rates, p0, grid)
+        report = markov.verify_h_theorem(rates, p0, grid, UnitSystem(k=k))
+        assert report.verdicts() == reference.verdicts() == {
+            "entropy_monotone": True, "production_nonnegative": True}
+        assert np.array_equal(report.entropy, k * reference.entropy)
+
+    def test_a_falling_entropy_fails_at_any_k(self, monkeypatch):
+        # S(t) run backwards: the planted fall is of order 1 in units of k
+        rates = markov.random_symmetric_rates(8, np.random.default_rng(3))
+        p0 = markov.ProbDist(np.random.default_rng(4).dirichlet(np.ones(8)))
+        grid = np.linspace(0.0, 5.0, 50)
+        entropies = markov._entropies
+        monkeypatch.setattr(markov, "_entropies", lambda p, k: -entropies(p, k))
+        for k in (1.380649e-23, 1.0, 1e20):
+            assert not markov.verify_h_theorem(rates, p0, grid, UnitSystem(k=k)).monotone

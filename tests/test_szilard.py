@@ -1,5 +1,6 @@
 """One-molecule engine: insertion cost, extracted work, ledger balance."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from wavefns import is_minimum_uncertainty, uncertainty_product
 
-from demonlab import szilard
+from demonlab import cli, szilard
 from demonlab.errors import InvalidInputError, InvalidStateError
 from demonlab.reporting import write_csv
 from demonlab.units import UnitSystem
@@ -322,3 +323,25 @@ class TestLedgerEmission:
             tracemalloc.stop()
         assert ledger.left.nbytes == 10**5
         assert held < 10**6
+
+
+class TestLedgerInUnitsOfK:
+    @pytest.mark.parametrize("units", [[], ["--si"], ["--k", "1e-30"]], ids=["natural", "si", "k"])
+    def test_a_bath_of_the_wrong_sign_fails(self, units, monkeypatch, capsys):
+        # under --si the ledger's net is 100 * 2 k ln 2 = 1.9e-21 J/K, below a fixed 1e-12
+        extract = szilard.extract_work
+
+        def bath_gains(state, box, units):
+            work, ds_bath, reset = extract(state, box, units)
+            return work, -ds_bath, reset
+
+        monkeypatch.setattr(szilard, "extract_work", bath_gains)
+        assert cli.main(["szilard", "--cycles", "100", *units]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"] == {"prefix_nonnegative": True, "net_entropy_zero": False}
+
+    @pytest.mark.parametrize("k", [1.380649e-23, 1e-4, 1.0, 1e4, 1e20])
+    def test_a_correct_ledger_passes_at_any_k(self, k):
+        ledger = szilard.run_cycle(make_box(), 1000, rng_seed=5, units=UnitSystem(k=k))
+        assert ledger.verdicts() == {"prefix_nonnegative": True, "net_entropy_zero": True}
+        assert ledger.net_entropy() == 0.0

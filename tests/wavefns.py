@@ -67,7 +67,7 @@ def to_position(phi, units=NATURAL_UNITS, *, x0):
     hbar = units.hbar
     n = phi.n
     dx = 2.0 * math.pi * hbar / (n * phi.spacing)
-    g = phi.amps * np.exp(1j * phi.points * x0 / hbar)
+    g = phi.amps * np.exp(1j * (phi.origin + phi.spacing * np.arange(n)) * x0 / hbar)
     post_phase = np.exp(1j * phi.origin * np.arange(n) * dx / hbar)
     amps = (phi.spacing / math.sqrt(2.0 * math.pi * hbar)) * post_phase * n * np.fft.ifft(g)
     return qiur.Grid(origin=x0, spacing=dx, amps=amps)
