@@ -28,6 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NORMAL, InvalidInputError, require_count, require_positive
+from .reporting import Check
 
 STEP_PLUS_MINUS_ONE = "plus_minus_one"
 STEP_GAUSSIAN = "gaussian"
@@ -72,11 +73,6 @@ class WalkSpec:
     def step_variance(self) -> float:
         return 1.0 if self.step_law == STEP_PLUS_MINUS_ONE else self.sigma_step**2
 
-    @property
-    def counted(self) -> bool:
-        """Whether the walk runs as counts of walkers per site: BLOCK_DRAWS +-1 walkers or more."""
-        return self.step_law == STEP_PLUS_MINUS_ONE and self.n_walkers >= BLOCK_DRAWS
-
 
 def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int | np.ndarray) -> np.ndarray:
     """The next k steps of every walker, one row each: float64 Gaussian steps, or int32 1 for
@@ -109,16 +105,10 @@ def _counted(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, counts[lo:hi]
 
 
-def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block, None),
-    row i the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B,
-    kept in int32 and copied into one buffer that the next block overwrites. From BLOCK_DRAWS +-1
-    walkers up, per step: the occupied B as one row, its walkers as weights (in int64)."""
-    if spec.counted:
-        sites = np.arange(spec.n_steps + 1)
-        for t0, (lo, occupied) in enumerate(_counted(spec)):
-            yield t0, sites[None, lo : lo + occupied.size], occupied
-        return
+def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
+    """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block), row
+    i the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B,
+    kept in int32 and copied into one buffer that the next block overwrites."""
     rng = np.random.default_rng(spec.rng_seed)
     k = -(-BLOCK_DRAWS // spec.n_walkers)
     last = np.zeros(spec.n_walkers, dtype=float if spec.step_law == STEP_GAUSSIAN else np.int32)
@@ -131,7 +121,7 @@ def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]
         if spec.step_law == STEP_PLUS_MINUS_ONE:
             np.copyto(mirror[: len(block)], block)
             block = mirror[: len(block)]
-        yield t0, block, None
+        yield t0, block
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,7 @@ class DiffusionReport:
     def to_rows(self) -> list[tuple[float, float, float]]:
         return list(zip(self.times.tolist(), self.mean_displacement.tolist(), self.msd.tolist()))
 
-    def verdicts(self) -> dict[str, bool]:
+    def verdicts(self) -> dict[str, Check]:
         """Final MSD and mean within 3 standard errors of n var_step and 0 (the
         MSD's SE is the spread of x^2 over the walkers); R^2 > 0.999."""
         n, walkers, msd_expected = self.spec.n_steps, self.spec.n_walkers, self.msd_expected
@@ -162,9 +152,9 @@ class DiffusionReport:
             msd_se = math.sqrt(2.0) * msd_expected / math.sqrt(walkers)
         mean_se = math.sqrt(msd_expected / walkers)
         return {
-            "msd_within_3sigma": bool(abs(self.msd[-1] - msd_expected) <= 3.0 * msd_se),
-            "mean_within_3sigma": bool(abs(self.mean_displacement[-1]) <= 3.0 * mean_se),
-            "msd_fit_linear": bool(self.r_squared > 0.999),
+            "msd_within_3sigma": Check.within(self.msd[-1], msd_expected, 3.0 * msd_se),
+            "mean_within_3sigma": Check.within(self.mean_displacement[-1], 0.0, 3.0 * mean_se),
+            "msd_fit_linear": Check(bool(self.r_squared > 0.999), self.r_squared, 0.999, 0.0),
         }
 
 
@@ -177,7 +167,7 @@ def simulate_walks(spec: WalkSpec) -> DiffusionReport:
     """
     n, w = spec.n_steps, spec.n_walkers
     times = np.arange(n + 1, dtype=float)
-    if spec.counted:
+    if spec.step_law == STEP_PLUS_MINUS_ONE and w >= BLOCK_DRAWS:  # counts of walkers per site
         # sum B and sum B^2 over the walkers, exact in int64, by one product a step
         b, moments = np.arange(n + 1), np.zeros((n + 1, 2), np.int64)
         powers = np.stack((b, b * b))
@@ -186,7 +176,7 @@ def simulate_walks(spec: WalkSpec) -> DiffusionReport:
         sums, squares = moments.T.astype(float)
     else:
         sums, squares = np.zeros(n + 1), np.zeros(n + 1)
-        for t0, block, _ in _walk(spec):
+        for t0, block in _walk(spec):
             rows = slice(t0 + 1, t0 + 1 + len(block))
             sums[rows] = block.sum(axis=1)
             if spec.step_law == STEP_GAUSSIAN:
@@ -247,18 +237,19 @@ def histogram_vs_gaussian(spec: WalkSpec, t: int) -> HistogramReport:
             f"insufficient walkers: need >= {HISTOGRAM_MIN_WALKERS} for the histogram"
         )
 
-    x, weights = next((b[t - t0 - 1], w) for t0, b, w in _walk(spec) if t <= t0 + len(b))
     sigma = math.sqrt(t * spec.step_variance)
     window = 4.0 * sigma
 
-    if spec.step_law == STEP_PLUS_MINUS_ONE:
-        x = 2 * x.astype(np.int64) - t  # from the counts of +1 steps
+    if spec.step_law == STEP_PLUS_MINUS_ONE:  # counted: HISTOGRAM_MIN_WALKERS >= BLOCK_DRAWS
+        lo, weights = next(step for s, step in enumerate(_counted(spec), 1) if s == t)
+        x = 2 * np.arange(lo, lo + weights.size) - t  # from the counts of +1 steps
         # occupied sites are -t, -t+2, ..., t; keep those inside the window
         sites = np.arange(-t, t + 1, 2, dtype=float)
         sites = sites[np.abs(sites) <= window]
         groups = np.array_split(sites, HISTOGRAM_BINS)
         edges = np.array([g[0] - 1.0 for g in groups] + [groups[-1][-1] + 1.0])
     else:
+        x, weights = next((b[t - t0 - 1], None) for t0, b in _walk(spec) if t <= t0 + len(b))
         edges = np.linspace(-window, window, HISTOGRAM_BINS + 1)
 
     observed, _ = np.histogram(x, bins=edges.astype(x.dtype), weights=weights)  # whole edges

@@ -9,12 +9,13 @@ from the wall_time_s field. Exit status: 0 when every scenario verdict
 passes, 1 on scenario failure or error, 2 on usage errors.
 
 The CLI parses, imports the scenario's module (and numpy) only when that
-scenario runs, runs it and emits. A runner reads the keys its branch uses,
-yields, then works; in between, run refuses each key set away from its
-default that went unread, the one place that rule lives. Each report
-defines its own verdicts and their tolerances, and a report with a table
-its CSV columns (CSV_HEADER, to_rows); other scenarios write
-reporting.kv_rows of their derived values.
+scenario runs, runs it and emits. SCENARIOS holds each scenario's runner and
+keys; resolve_config gives the Params that run takes. A runner reads the keys
+its branch uses, yields, then works; in between, run refuses each key set
+away from its default that went unread, the one place that rule lives. The
+scenario's module builds each verdict as a reporting.Check, and run writes
+its passed bool. A report with a table defines its CSV columns (CSV_HEADER,
+to_rows); other scenarios write reporting.kv_rows of their derived values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any, Callable, Generator
 
 from . import __version__
 from .errors import DemonlabError, InvalidInputError, require_count, require_positive
-from .reporting import KV_HEADER, json_dumps, kv_rows, write_csv, write_json
+from .reporting import KV_HEADER, Check, json_dumps, kv_rows, write_csv, write_json
 from .units import UnitSystem
 
 
@@ -48,72 +49,14 @@ COMMON_PARAMS: dict[str, tuple[type, Any]] = {
     "format": (str, "json"),
 }
 
-SCENARIO_PARAMS: dict[str, dict[str, tuple[type, Any]]] = {
-    "h-theorem": {
-        "states": (int, 6),
-        "rates_file": (str, ""),
-        "p0": (str, ""),
-        "t_max": (float, 0.0),
-        "samples": (int, 25),
-    },
-    "fgr": {
-        "gamma": (float, 1.0),
-        "samples": (int, 100_000),
-    },
-    "qiur": {
-        "input": (str, ""),
-        "sigma_x": (float, 1.0),
-        "box_length": (float, 0.0),
-        "grid_n": (int, 4096),
-    },
-    "szilard": {
-        "cycles": (int, 1),
-        "length": (float, 1.0),
-        "temperature": (float, 1.0),
-        "mass": (float, 1.0),
-        "convention": (str, "box-scale"),
-    },
-    "speed-demon": {
-        "temperature": (float, 1.0),
-        "mass": (float, 1.0),
-        "nu_low": (float, 0.0),
-        "ratio": (float, 100.0),
-        "door": (float, 0.0),
-        "attempts": (int, 10_000),
-    },
-    "einstein": {
-        "n_components": (float, 3.0),
-        "energy": (float, 0.0),
-        "frequency": (float, 0.0),
-        "volume_ratio": (float, 0.5),
-        "trials": (int, 100_000),
-        "brillouin_b": (float, 0.0),
-        "info_fraction": (float, 0.0),
-    },
-    "brownian": {
-        "steps": (int, 100),
-        "walkers": (int, 10_000),
-        "step_law": (str, "plus_minus_one"),  # brownian.STEP_PLUS_MINUS_ONE
-        "sigma_step": (float, 1.0),
-    },
-}
-
 _BOOL_STRINGS = {
     "true": True, "1": True, "yes": True,
     "false": False, "0": False, "no": False,
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved scenario invocation."""
-
-    scenario: str
-    params: dict[str, Any]
-
-
 def _param_table(scenario: str) -> dict[str, tuple[type, Any]]:
-    return {**COMMON_PARAMS, **SCENARIO_PARAMS[scenario]}
+    return {**COMMON_PARAMS, **SCENARIOS[scenario][1]}
 
 
 @functools.cache
@@ -125,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"demonlab {__version__}")
     sub = parser.add_subparsers(dest="scenario", metavar="scenario")
-    for name in SCENARIO_PARAMS:
+    for name in SCENARIOS:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", default=None, help="flat key = value config file")
         for key, (typ, _default) in _param_table(name).items():
@@ -174,7 +117,7 @@ def _coerce(key: str, raw: str, typ: type) -> Any:
         raise UsageError(f"key {key!r}: expected {typ.__name__}, got {raw!r}") from exc
 
 
-def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
+def resolve_config(scenario: str, args: argparse.Namespace) -> Params:
     """Apply the precedence flags > config file > DEMONLAB_SEED > defaults."""
     table = _param_table(scenario)
     params = {key: default for key, (_t, default) in table.items()}
@@ -200,13 +143,14 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"format must be json or csv, got {params['format']!r}")
     if params["seed"] < 0:  # numpy seeds take nonnegative integers only
         raise UsageError(f"seed must be >= 0, got {params['seed']}")
-    return RunConfig(scenario=scenario, params=params)
+    return Params(scenario, params)
 
 
 @dataclass
 class Params:
-    """A run's parameters, recording each key read; peek looks at one without reading it."""
+    """A scenario's parameters, recording each key read; peek looks at one without reading it."""
 
+    scenario: str
     values: dict[str, Any]
     read: set[str] = field(default_factory=set)
 
@@ -218,8 +162,8 @@ class Params:
         return self.values[key]
 
 
-#: Yields the branch's phrase or {key: phrase}, then returns (derived, verdicts, table or None).
-Run = Generator[str | dict[str, str] | None, None, tuple[dict[str, Any], dict[str, bool], Any]]
+#: Yields the branch's phrase or {key: phrase}, then returns (derived, checks, table or None).
+Run = Generator[str | dict[str, str] | None, None, tuple[dict[str, Any], dict[str, Check], Any]]
 
 
 def _run_h_theorem(params: Params, units: UnitSystem, seed: int) -> Run:
@@ -275,7 +219,8 @@ def _run_fgr(params: Params, units: UnitSystem, seed: int) -> Run:
         "gamma": sample.gamma,
         "lifetime": 1.0 / sample.gamma,
         "mean_waiting_time": sample.mean_waiting_time(),
-        "checks": sample.survival_checks,
+        "checks": [{"t": t, "empirical": c.value, "analytic": c.expected, "tol_3sigma": c.tolerance}
+                   for t, c in sample.survival_checks.items()],
     }
     return derived, sample.verdicts(), sample
 
@@ -295,7 +240,7 @@ def _run_qiur(params: Params, units: UnitSystem, seed: int) -> Run:
         yield
         psi = qiur.gaussian_packet(sigma_x, n=n)
     report = qiur.entropy_report(psi, units)
-    return report, {"bound_satisfied": report["satisfied"]}, None
+    return report, qiur.verdicts(report), None
 
 
 def _run_szilard(params: Params, units: UnitSystem, seed: int) -> Run:
@@ -371,31 +316,71 @@ def _run_brownian(params: Params, units: UnitSystem, seed: int) -> Run:
     return derived, report.verdicts(), report
 
 
-RUNNERS: dict[str, Callable[[Params, UnitSystem, int], Run]] = {
-    "h-theorem": _run_h_theorem,
-    "fgr": _run_fgr,
-    "qiur": _run_qiur,
-    "szilard": _run_szilard,
-    "speed-demon": _run_speed_demon,
-    "einstein": _run_einstein,
-    "brownian": _run_brownian,
+#: scenario -> (runner, {key: (python type, default)}), beside COMMON_PARAMS.
+SCENARIOS: dict[str, tuple[Callable[..., Run], dict[str, tuple[type, Any]]]] = {
+    "h-theorem": (_run_h_theorem, {
+        "states": (int, 6),
+        "rates_file": (str, ""),
+        "p0": (str, ""),
+        "t_max": (float, 0.0),
+        "samples": (int, 25),
+    }),
+    "fgr": (_run_fgr, {
+        "gamma": (float, 1.0),
+        "samples": (int, 100_000),
+    }),
+    "qiur": (_run_qiur, {
+        "input": (str, ""),
+        "sigma_x": (float, 1.0),
+        "box_length": (float, 0.0),
+        "grid_n": (int, 4096),
+    }),
+    "szilard": (_run_szilard, {
+        "cycles": (int, 1),
+        "length": (float, 1.0),
+        "temperature": (float, 1.0),
+        "mass": (float, 1.0),
+        "convention": (str, "box-scale"),
+    }),
+    "speed-demon": (_run_speed_demon, {
+        "temperature": (float, 1.0),
+        "mass": (float, 1.0),
+        "nu_low": (float, 0.0),
+        "ratio": (float, 100.0),
+        "door": (float, 0.0),
+        "attempts": (int, 10_000),
+    }),
+    "einstein": (_run_einstein, {
+        "n_components": (float, 3.0),
+        "energy": (float, 0.0),
+        "frequency": (float, 0.0),
+        "volume_ratio": (float, 0.5),
+        "trials": (int, 100_000),
+        "brillouin_b": (float, 0.0),
+        "info_fraction": (float, 0.0),
+    }),
+    "brownian": (_run_brownian, {
+        "steps": (int, 100),
+        "walkers": (int, 10_000),
+        "step_law": (str, "plus_minus_one"),  # brownian.STEP_PLUS_MINUS_ONE
+        "sigma_step": (float, 1.0),
+    }),
 }
 
 
-def run(config: RunConfig) -> dict[str, Any]:
+def run(params: Params) -> dict[str, Any]:
     """Execute the scenario, write its --output file, and return the report."""
-    params = Params(config.params)
     units = UnitSystem.si() if params["si"] else UnitSystem(k=params["k"], h=params["h"])
     seed, output = params["seed"], params["output"]
     csv = output and params["format"] == "csv"
     start = time.perf_counter()
-    runner = RUNNERS[config.scenario](params, units, seed)
+    runner = SCENARIOS[params.scenario][0](params, units, seed)
     skipped_by = {"k": "with si", "h": "with si", "format": "without output"}
     branch, unread = next(runner) or "", {}
     if isinstance(branch, dict):  # einstein names one decision per key
         skipped_by, branch = skipped_by | branch, ""
-    for key, (_typ, default) in _param_table(config.scenario).items():
-        if key not in params.read and config.params[key] != default:
+    for key, (_typ, default) in _param_table(params.scenario).items():
+        if key not in params.read and params.values[key] != default:
             unread.setdefault(skipped_by.get(key, branch), []).append(key)
     if unread:
         raise InvalidInputError("; ".join(
@@ -403,12 +388,12 @@ def run(config: RunConfig) -> dict[str, Any]:
     try:
         next(runner)
     except StopIteration as done:
-        derived, verdicts, table = done.value
+        derived, checks, table = done.value
     report = {
-        "scenario": config.scenario,
-        "config": dict(config.params),
+        "scenario": params.scenario,
+        "config": dict(params.values),
         "derived": derived,
-        "verdicts": verdicts,
+        "verdicts": {name: check.passed for name, check in checks.items()},
         "seed": seed,
         "version": __version__,
         "wall_time_s": time.perf_counter() - start,
@@ -445,7 +430,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"demonlab {args.scenario}: error: {exc}", file=sys.stderr)
         return 1
     return 0 if all(report["verdicts"].values()) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidInputError, require_count, require_positive
-from .reporting import binomial_3sigma
+from .reporting import Check
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Monte-Carlo trials place N points each; beyond this N the all-inside
@@ -167,26 +167,26 @@ def fluctuation_report(
     rng_seed: int,
     brillouin: BrillouinSpec | None = None,
     units: UnitSystem = NATURAL_UNITS,
-) -> tuple[dict[str, Any], dict[str, bool]]:
+) -> tuple[dict[str, Any], dict[str, Check]]:
     """Derived values and verdicts: exp(dS/k) = W within 1e-12, the Monte-Carlo
     frequency within 3 sigma of W (if n_trials != 0), and a positive Brillouin
     net balance (if a BrillouinSpec is given)."""
     ds = gas_entropy_change(spec, units)
     prob = fluctuation_probability(spec)
-    gap = abs(math.exp(ds / units.k) - prob)
+    verdicts = {"identity_ok": Check.within(math.exp(ds / units.k), prob, 1e-12)}
     derived: dict[str, Any] = {
         "n_components": spec.n_components,
         "volume_ratio": spec.volume_ratio,
         "dS": ds,
         "probability": prob,
-        "identity_gap": gap,
+        "identity_gap": abs(verdicts["identity_ok"].value - prob),
     }
-    verdicts = {"identity_ok": gap <= 1e-12}
     if n_trials != 0:
         emp = derived["mc_probability"] = monte_carlo_fluctuation(spec, n_trials, rng_seed)
-        tol = derived["mc_tol_3sigma"] = binomial_3sigma(prob, n_trials)
-        verdicts["mc_within_3sigma"] = abs(emp - prob) <= tol
+        mc = verdicts["mc_within_3sigma"] = Check.binomial(emp, prob, n_trials)
+        derived["mc_tol_3sigma"] = mc.tolerance
     if brillouin is not None:
         derived["brillouin"] = brillouin_balance(brillouin, units)
-        verdicts["brillouin_net_positive"] = derived["brillouin"]["net"] > 0
+        net = derived["brillouin"]["net"]
+        verdicts["brillouin_net_positive"] = Check(bool(net > 0), net, 0.0, 0.0)
     return derived, verdicts

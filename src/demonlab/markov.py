@@ -32,6 +32,7 @@ from numpy.linalg import eigh
 
 from .errors import (InvalidInputError, NonUniqueEquilibriumError, NumericError,
                      require_count, require_positive)
+from .reporting import Check
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Zero-probability states make the entropy-production formula diverge, so
@@ -242,7 +243,7 @@ def detailed_balance_residual(rates: RateMatrix, p: ProbDist) -> float:
 
 @dataclass(frozen=True)
 class HTheoremReport:
-    """Entropy trajectory samples plus the monotonicity verdict."""
+    """Entropy trajectory samples plus the monotonicity and production checks, in units of k."""
 
     CSV_HEADER = ("t", "S", "dSdt", "dist_to_eq")
 
@@ -250,10 +251,13 @@ class HTheoremReport:
     entropy: np.ndarray
     production_rate: np.ndarray
     dist_to_eq: np.ndarray
-    monotone: bool
+    checks: dict[str, Check]
     min_production: float
     terminal_dist: float
-    productive: bool
+
+    @property
+    def monotone(self) -> bool:
+        return self.checks["entropy_monotone"].passed
 
     def to_rows(self) -> list[tuple[float, float, float, float]]:
         return list(
@@ -265,9 +269,9 @@ class HTheoremReport:
             )
         )
 
-    def verdicts(self) -> dict[str, bool]:
+    def verdicts(self) -> dict[str, Check]:
         """S(t) never falls, nor is dS/dt negative, by more than verify_h_theorem's bounds."""
-        return {"entropy_monotone": self.monotone, "production_nonnegative": self.productive}
+        return dict(self.checks)
 
 
 def verify_h_theorem(
@@ -304,9 +308,11 @@ def verify_h_theorem(
     production = _production_rates(floored, rates.generator, 1.0)
     largest = max(float(np.abs(entropy).max()), float(np.abs(production).max()))
     n, eps = rates.n, np.finfo(float).eps
-    monotone = np.diff(entropy).min(initial=0.0) >= -4 * (n + 2) * eps * max(1.0, entropy.max())
+    fall, slack = np.diff(entropy).min(initial=0.0), 4 * (n + 2) * eps * max(1.0, entropy.max())
+    monotone = Check(bool(fall >= -slack), fall, 0.0, slack)
     exits = math.log(floored.min()) * rates.generator.diagonal().min()  # ln(1/min p) max_j r_j
-    productive = production.min() >= -4 * (n + 1) * eps * exits
+    lowest, slack = production.min(), 4 * (n + 1) * eps * exits
+    productive = Check(bool(lowest >= -slack), lowest, 0.0, slack)
     require_positive(f"{units}'s k times {largest!r}", units.k * largest, least=0.0)
     entropy, production = units.k * entropy, units.k * production
     dist = np.max(np.abs(samples - p_eq.p), axis=1)
@@ -315,10 +321,9 @@ def verify_h_theorem(
         entropy=_freeze(entropy),
         production_rate=_freeze(production),
         dist_to_eq=_freeze(dist),
-        monotone=bool(monotone),
+        checks={"entropy_monotone": monotone, "production_nonnegative": productive},
         min_production=float(production.min()),
         terminal_dist=float(dist[-1]),
-        productive=bool(productive),
     )
 
 

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NORMAL, InvalidInputError, require_count, require_positive
+from .reporting import Check
 from .units import NATURAL_UNITS, UnitSystem
 
 #: Grid sizes for entropy work: coarser grids alias badly, finer ones outgrow memory.
@@ -237,13 +238,18 @@ def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float
 
 
 def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
-    """I_x, I_p, their sum, the bound, and whether the bound is satisfied."""
+    """I_x, I_p, their sum, the bound, and whether the bound is satisfied (see verdicts)."""
     i_x = _entropy(psi.density(), psi.spacing)
     dp, rho, twice = _momentum_density(psi, units)
     i_p = _entropy(rho, dp, twice)
-    bound, joint = qiur_bound(units), i_x + i_p
-    return {"I_x": i_x, "I_p": i_p, "joint": joint, "bound": bound,
-            "satisfied": bool(joint >= bound - 1e-3)}
+    report = {"I_x": i_x, "I_p": i_p, "joint": i_x + i_p, "bound": qiur_bound(units)}
+    return report | {"satisfied": verdicts(report)["bound_satisfied"].passed}
+
+
+def verdicts(report: dict) -> dict[str, Check]:
+    """bound_satisfied: an entropy_report's joint information at least its bound less 1e-3."""
+    joint, bound = report["joint"], report["bound"]
+    return {"bound_satisfied": Check(bool(joint >= bound - 1e-3), joint, bound, 1e-3)}
 
 
 def gaussian_packet(sigma_x: float, *, n: int = 4096) -> Grid:

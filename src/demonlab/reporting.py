@@ -1,7 +1,8 @@
-"""Shared report emission: deterministic JSON and RFC-4180 CSV.
+"""Shared report emission (deterministic JSON and RFC-4180 CSV) and the verdict record Check.
 
-A report with a table defines ``CSV_HEADER``, ``to_rows()`` (plain Python
-values) and ``verdicts()``; a scenario without one emits ``kv_rows``.
+A report with a table defines ``CSV_HEADER`` and ``to_rows()`` (plain Python
+values); a scenario without one emits ``kv_rows``. Each module builds its own
+Checks next to its physics; Check holds only the rules that two modules share.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -17,10 +19,29 @@ from .errors import NumericError
 KV_HEADER = ("key", "value")
 
 
-def binomial_3sigma(p: float, n: int) -> float:
-    """Three standard errors 3 sqrt(p (1 - p) / n) of a frequency over n trials; scaled by 2**200
-    in the root, a tiny p (1 - p) / n does not underflow to 0, and a normal one keeps its bits."""
-    return 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) * 2.0**200 / n) * 2.0**-100
+@dataclass(frozen=True)
+class Check:
+    """A verdict and the numbers it compared; bool(check) raises: read passed, a Python bool."""
+
+    passed: bool
+    value: float
+    expected: float
+    tolerance: float
+
+    def __bool__(self) -> bool:
+        raise TypeError("a Check has no truth value: read its passed")
+
+    @classmethod
+    def within(cls, value: float, expected: float, tolerance: float) -> Check:
+        """Passes when |value - expected| <= tolerance."""
+        return cls(bool(abs(value - expected) <= tolerance), value, expected, tolerance)
+
+    @classmethod
+    def binomial(cls, frequency: float, p: float, n: int) -> Check:
+        """A frequency over n trials within 3 sqrt(p (1 - p) / n) of p; scaled by 2**200 in the
+        root, a tiny p (1 - p) / n does not underflow to 0, and a normal one keeps its bits."""
+        tolerance = 3.0 * math.sqrt(max(p * (1.0 - p), 0.0) * 2.0**200 / n) * 2.0**-100
+        return cls.within(frequency, p, tolerance)
 
 
 def _plain(obj: Any) -> Any:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NORMAL, require_count, require_positive
 from .qiur import GaussianState, gaussian_information
-from .reporting import binomial_3sigma
+from .reporting import Check
 from .units import NATURAL_UNITS, UnitSystem
 
 #: More attempts would not fit in time; the positions stream through BLOCK_DRAWS at a time.
@@ -171,15 +171,13 @@ class SortingReport:
     sorting_usable_change: float
     seed: int
 
-    def verdicts(self) -> dict[str, bool]:
+    def verdicts(self) -> dict[str, Check]:
         """Sorting infeasible (sigma_x / d > 1), and the Monte-Carlo passage
-        frequency within 3 sigma of the analytic probability p, i.e.
-        |emp - p| <= 3 sqrt(p (1 - p) / n)."""
-        tol = binomial_3sigma(self.analytic_passage, self.n_attempts)
+        frequency within 3 sigma of the analytic probability (Check.binomial)."""
         return {
-            "sorting_infeasible": self.sorting_infeasible,
-            "mc_within_3sigma": bool(
-                abs(self.empirical_passage - self.analytic_passage) <= tol
+            "sorting_infeasible": Check(self.sorting_infeasible, self.feasibility_ratio, 1.0, 0.0),
+            "mc_within_3sigma": Check.binomial(
+                self.empirical_passage, self.analytic_passage, self.n_attempts
             ),
         }
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, require_count, require_positive
 from .qiur import GaussianState
+from .reporting import Check
 from .units import NATURAL_UNITS, UnitSystem
 
 SIDE_WHOLE = "whole"
@@ -158,19 +159,21 @@ class EntropyLedger:
         return float(np.cumsum(np.full(self.left.size, self.work))[-1:].sum())
 
     def prefix_nonnegative(self) -> bool:
-        return bool(np.all(self.cumulative_entropy() / self.k >= -self.left.size * _ULP_LN2))
+        return self.verdicts()["prefix_nonnegative"].passed
 
     def to_rows(self) -> list[tuple]:
         steps = (("insertion", self.insertion_dS, 0.0), ("expansion", self.bath_dS, self.work))
         cum = self.cumulative_entropy().tolist()
         return [(i // 2 + 1, *steps[i % 2], c) for i, c in enumerate(cum)]
 
-    def verdicts(self) -> dict[str, bool]:
+    def verdicts(self) -> dict[str, Check]:
         """No prefix below -n_cycles ulp(ln 2) and a net within it, in units of k: correct prefix
         sums alternate ln 2 and 0, and 2 n_cycles additions round by ulp(ln 2) / 2 at most."""
+        lowest = (self.cumulative_entropy() / self.k).min(initial=0.0)  # the empty prefix is 0
+        slack = self.left.size * _ULP_LN2
         return {
-            "prefix_nonnegative": self.prefix_nonnegative(),
-            "net_entropy_zero": bool(abs(self.net_entropy() / self.k) <= self.left.size * _ULP_LN2),
+            "prefix_nonnegative": Check(bool(lowest >= -slack), lowest, 0.0, slack),
+            "net_entropy_zero": Check.within(self.net_entropy() / self.k, 0.0, slack),
         }
 
 

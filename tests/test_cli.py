@@ -49,17 +49,17 @@ class TestResolveConfig:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv("DEMONLAB_SEED", raising=False)
         config = cli.resolve_config("szilard", _namespace("szilard"))
-        assert config.params["cycles"] == 1
-        assert config.params["seed"] == 0
-        assert config.params["temperature"] == 1.0
+        assert config.values["cycles"] == 1
+        assert config.values["seed"] == 0
+        assert config.values["temperature"] == 1.0
 
     def test_flags_win(self, monkeypatch):
         monkeypatch.delenv("DEMONLAB_SEED", raising=False)
         ns = _namespace("szilard", cycles="10", seed="7")
         config = cli.resolve_config("szilard", ns)
         assert config.scenario == "szilard"
-        assert config.params["cycles"] == 10
-        assert config.params["seed"] == 7
+        assert config.values["cycles"] == 10
+        assert config.values["seed"] == 7
 
     def test_config_file_between_flags_and_defaults(self, monkeypatch, tmp_path):
         monkeypatch.delenv("DEMONLAB_SEED", raising=False)
@@ -67,19 +67,19 @@ class TestResolveConfig:
         cfg.write_text("temperature = 300  # bath\ncycles = 4\n")
         ns = _namespace("szilard", config=str(cfg), temperature="150")
         config = cli.resolve_config("szilard", ns)
-        assert config.params["temperature"] == 150.0  # flag beats file
-        assert config.params["cycles"] == 4  # file beats default
+        assert config.values["temperature"] == 150.0  # flag beats file
+        assert config.values["cycles"] == 4  # file beats default
 
     def test_env_seed_lowest_precedence(self, monkeypatch, tmp_path):
         monkeypatch.setenv("DEMONLAB_SEED", "99")
         config = cli.resolve_config("szilard", _namespace("szilard"))
-        assert config.params["seed"] == 99
+        assert config.values["seed"] == 99
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 55\n")
         config = cli.resolve_config("szilard", _namespace("szilard", config=str(cfg)))
-        assert config.params["seed"] == 55
+        assert config.values["seed"] == 55
         ns = _namespace("szilard", config=str(cfg), seed="7")
-        assert cli.resolve_config("szilard", ns).params["seed"] == 7
+        assert cli.resolve_config("szilard", ns).values["seed"] == 7
 
     def test_unknown_config_key_is_hard_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -690,7 +690,7 @@ class TestNegativeSeed:
     def test_a_flag_overrides_a_negative_environment_seed(self, monkeypatch):
         monkeypatch.setenv("DEMONLAB_SEED", "-1")
         ns = _namespace("szilard", seed="3")
-        assert cli.resolve_config("szilard", ns).params["seed"] == 3
+        assert cli.resolve_config("szilard", ns).values["seed"] == 3
 
 
 def _unread_messages(path: Path) -> list[str]:

@@ -303,7 +303,7 @@ class TestFluctuationReport:
         derived, verdicts = fl.fluctuation_report(spec, 0, rng_seed=0)
         assert derived["probability"] == 0.125
         assert derived["dS"] == pytest.approx(-3.0 * math.log(2.0), rel=1e-15)
-        assert verdicts == {"identity_ok": True}
+        assert {name: c.passed for name, c in verdicts.items()} == {"identity_ok": True}
 
     def test_negative_trials_refused(self):
         spec = fl.FluctuationSpec(n_components=3.0, volume_ratio=0.5)
@@ -317,8 +317,8 @@ class TestFluctuationReport:
         derived, verdicts = fl.fluctuation_report(spec, 20_000, 5, bspec)
         assert derived["mc_tol_3sigma"] == pytest.approx(3.0 * math.sqrt(0.125 * 0.875 / 20_000))
         assert derived["brillouin"] == fl.brillouin_balance(bspec)
-        assert verdicts == {
+        assert {name: c.passed for name, c in verdicts.items()} == {
             "identity_ok": True, "mc_within_3sigma": True, "brillouin_net_positive": True
         }
-        assert all(type(v) is bool for v in verdicts.values())
+        assert all(type(c.passed) is bool for c in verdicts.values())
 

@@ -59,8 +59,7 @@ INT_EXTREMES = [-1, 0, 1, 10**11, 2**63, 10**30]
 
 
 def flags(scenario: str, kind: type) -> list[str]:
-    table = {**cli.COMMON_PARAMS, **cli.SCENARIO_PARAMS[scenario]}
-    return [key for key, (typ, _default) in table.items() if typ is kind]
+    return [key for key, (typ, _default) in cli._param_table(scenario).items() if typ is kind]
 
 
 def _reject_constant(name: str) -> None:
@@ -109,7 +108,7 @@ def escape(scenario: str, argv: list[str]) -> str | None:
     return None
 
 
-SCENARIOS = sorted(cli.SCENARIO_PARAMS)
+SCENARIOS = sorted(cli.SCENARIOS)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from demonlab import cli
-from demonlab.reporting import binomial_3sigma
+from demonlab.reporting import Check
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -107,12 +107,12 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["einstein", "einstein-si", "einstein-brillouin-csv"])
 def test_recorded_tolerance_keeps_its_bits_without_underflow(name):
-    # binomial_3sigma scales p (1 - p) / n so that it cannot underflow to 0; on the recorded
+    # Check.binomial scales p (1 - p) / n so that it cannot underflow to 0; on the recorded
     # tolerances it gives the bits of 3 sqrt(p (1 - p) / n) and of 3 sqrt(p (1 - p)) / sqrt(n)
     text = (GOLDEN / f"{name}.stdout").read_text()
     p, n, tol = (float(re.search(rf'"{key}": (\S+),', text)[1])
                  for key in ("probability", "trials", "mc_tol_3sigma"))
-    assert binomial_3sigma(p, int(n)) == 3.0 * math.sqrt(p * (1.0 - p) / n) == tol
+    assert Check.binomial(p, p, int(n)).tolerance == 3.0 * math.sqrt(p * (1.0 - p) / n) == tol
     assert 3.0 * math.sqrt(p * (1.0 - p)) / math.sqrt(n) == tol
 
 

@@ -1,9 +1,11 @@
 """Physics relations that hold for every input, where one anchor value cannot tell a
 formula from its mutant: how the golden-rule rate scales with h, where speed-sorting
-becomes infeasible, and how the einstein entropies scale with k but not with h."""
+becomes infeasible, how the einstein entropies scale with k but not with h, and how
+every verdict keeps, and every k-valued field scales, under k -> c k."""
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -80,3 +82,54 @@ def test_einstein_report_does_not_read_h(c):
     assert scaled["config"].pop("h") == c
     del base["config"]["h"]
     assert json_dumps(scaled) == json_dumps(base)
+
+
+#: The values of k of the markov and szilard relation tests.
+K_SCALES = [1.380649e-23, 1e-4, 1.0, 1e4, 1e20]
+
+#: Per invocation, its derived fields in units of k: each scales by c under k -> c k.
+K_VALUED = {
+    ("fgr", "--samples", "10000"): (),
+    ("qiur", "--grid-n", "1024"): (),
+    ("qiur", "--box-length", "2", "--grid-n", "1024"): (),
+    ("speed-demon", "--attempts", "10000"): ("dS_momentum", "injected_energy"),
+    ("einstein", "--trials", "10000"): ("dS",),
+    ("einstein", "--brillouin-b", "10", "--info-fraction", "1e-3", "--trials", "10000"):
+        ("dS", "brillouin"),
+    ("einstein", "--energy", "5", "--frequency", "1", "--trials", "10000"): ("dS",),
+    ("brownian", "--steps", "50", "--walkers", "1000"): (),
+}
+
+
+def derived_at(argv: tuple[str, ...], *units: str) -> tuple[dict, dict]:
+    args = cli.build_parser().parse_args([*argv, *units])
+    report = cli.run(cli.resolve_config(args.scenario, args))
+    return report["derived"], report["verdicts"]
+
+
+def within_ulps(value: float, expected: float, ulps: int = 4) -> bool:
+    return abs(value - expected) <= ulps * sys.float_info.epsilon * abs(expected)
+
+
+@pytest.mark.parametrize("c", K_SCALES)
+@pytest.mark.parametrize("argv", list(K_VALUED), ids=" ".join)
+def test_verdicts_keep_and_k_valued_fields_scale_under_k_to_ck(argv, c):
+    base, base_verdicts = derived_at(argv)
+    scaled, verdicts = derived_at(argv, "--k", repr(c))
+    assert verdicts == base_verdicts
+    for key in K_VALUED[argv]:
+        values = base[key] if isinstance(base[key], dict) else {key: base[key]}
+        got = scaled[key] if isinstance(scaled[key], dict) else {key: scaled[key]}
+        for name, value in values.items():
+            assert within_ulps(got[name], c * value), (name, got[name], c * value)
+    if argv[0] == "speed-demon":
+        # dS_momentum + k dI_position cancels to the rounding of k |dI_position|; the momenta
+        # and lengths scale by powers of sqrt(c)
+        eps = sys.float_info.epsilon
+        assert abs(scaled["sorting_usable_change"]) <= 16 * eps * c * abs(base["dI_position"])
+        return
+    if argv[0] == "einstein":  # exp(dS / k) - W rounds with k
+        del base["identity_gap"]
+        assert scaled.pop("identity_gap") <= 4 * math.ulp(base["probability"])
+    k_free = [key for key in base if key not in K_VALUED[argv]]
+    assert [scaled[key] for key in k_free] == [base[key] for key in k_free]
