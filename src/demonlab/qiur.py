@@ -17,17 +17,16 @@ length/momentum of the active UnitSystem; individual values shift under unit
 changes, but the joint sum against ln(he/2) is invariant, and that sum is the
 physical object.
 
-entropy_report takes |phi|^2 from a four-step FFT (Bailey 1990) of cache-sized rows, written
-over the spectrum's own memory; a real psi has an even |phi|, |phi_{N-k}| = |phi_k|, so it
-transforms half the rows and counts the mirrored ones twice. The packet build and the
-elementwise entropy passes run on cache-sized blocks of BLOCK points; all is pure, with
-per-call scratch.
+entropy_report streams |phi|^2 from a four-step FFT (Bailey 1990) in groups of rows and, from
+2^19 points up, holds no array of the grid's size but psi; a real psi's |phi| is even, so half
+the rows count twice. Its sums over psi run on cache-sized blocks in np.sum's order. All is pure.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 
@@ -41,9 +40,9 @@ from .units import NATURAL_UNITS, UnitSystem
 MIN_GRID_POINTS, MAX_GRID_POINTS = 64, 2**22
 #: Points per block of the elementwise passes: 128 KiB of float64 stays in L2 cache.
 BLOCK = 2**14
-#: The momentum density takes a four-step FFT of gcd(N, FOUR_STEP_ROWS) rows from
-#: FOUR_STEP_MIN points up; below, one whole FFT is faster (BENCH_25.json).
-FOUR_STEP_ROWS, FOUR_STEP_MIN = 32, 2**15
+#: |phi|^2 comes from a four-step FFT of gcd(N, FOUR_STEP_ROWS) rows from FOUR_STEP_MIN points up
+#: (BENCH_25.json), in <= PASSES groups of whole rows, all but the last of GROUP points or more.
+FOUR_STEP_ROWS, FOUR_STEP_MIN, GROUP, PASSES = 32, 2**15, 2**17, 4
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,17 @@ class Grid:
         return np.multiply(rho, rho, out=rho)
 
 
+def _pairwise(a: np.ndarray, leaf: Callable[[np.ndarray], float]) -> float:
+    """Sum of leaf(block) over blocks of a of at most BLOCK points, added in np.sum's order."""
+    mid = a.size // 2 - a.size // 2 % 8
+    return leaf(a) if a.size <= BLOCK else _pairwise(a[:mid], leaf) + _pairwise(a[mid:], leaf)
+
+
 def _normalized(source: str, spacing: float, amps: np.ndarray) -> np.ndarray:
-    """amps / sqrt(sum |amps|^2 * spacing), divided in place; source names the input in the
-    error for a zero or non-finite norm, and a finite norm means finite amps."""
+    """amps / sqrt(sum |amps|^2 * spacing), summed on blocks and divided in place; source names
+    the input in the error for a zero or non-finite norm, and a finite norm means finite amps."""
     with np.errstate(over="ignore"):
-        norm = float(np.sum(np.abs(amps) ** 2) * spacing)
+        norm = float(_pairwise(amps, lambda a: np.sum(np.square(np.abs(a)))) * spacing)
     amps /= math.sqrt(require_positive(f"the norm of {source}'s amplitudes on the grid", norm))
     return amps
 
@@ -143,73 +148,66 @@ def to_momentum(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> Grid:
     return Grid(p0, dp, np.multiply(spectrum, phase, out=spectrum), True)
 
 
-def _split(n: int) -> int:
-    """n1 of the four-step split n = n1 * n2: gcd(n, FOUR_STEP_ROWS), or n itself, one whole
-    FFT, below FOUR_STEP_MIN points or where the gcd is below 8."""
-    n1 = math.gcd(n, FOUR_STEP_ROWS)
-    return n if n < FOUR_STEP_MIN or n1 < 8 else n1
-
-
-def _twiddle(spectrum: np.ndarray, n: int) -> None:
-    """spectrum[k1, j] *= exp(-2 pi i k1 j / n) in place, from two small tables: j = h w + l with
-    w = ceil(sqrt(n2)) gives the factor exp(-2 pi i k1 h w / n) exp(-2 pi i k1 l / n), each
-    exponent reduced mod n in integers; row k1 = 0 takes none."""
-    rows, n2 = spectrum.shape
-    w = math.isqrt(n2 - 1) + 1
-    k1 = np.arange(1, rows)[:, None]
-    high, low = (_cis(k1 * j % n * (-2.0 * math.pi / n))
-                 for j in (np.arange(0, n2, w), np.arange(w)))
-    factor = np.empty((high.shape[1], w), dtype=complex)
-    for row, h, l in zip(spectrum[1:], high, low):
-        row *= np.multiply(h[:, None], l, out=factor).reshape(-1)[:n2]
-
-
-def _momentum_density(psi: Grid, units: UnitSystem) -> tuple[float, np.ndarray, slice]:
-    """(dp, |phi|^2, twice) without to_momentum's origin phase, which |phi|^2 never sees, by
-    the four-step FFT (Bailey 1990): with n = n1 n2, length-n1 FFTs down the columns of psi as
-    n1 rows, the twiddles, then length-n2 FFTs along the rows in place put X_{k1 + n1 k2} at
-    row k1, column k2. |phi|^2 is then written over the spectrum's own memory. A real psi takes
-    the rfft rows k1 <= n1/2 alone: |X_{n-k}| = |X_k| maps row k1 to row n1 - k1, so each entry
-    of rho[twice], the rows 0 < k1 < n1/2, stands for two points."""
-    dp, source = _momentum_spacing(psi, units)
-    n1 = _split(psi.n)
+def _momentum_density(psi: Grid, units: UnitSystem) -> Iterator[tuple[np.ndarray, slice]]:
+    """|phi|^2 (less to_momentum's origin phase) in flat groups of rows of the four-step FFT (Bailey
+    1990), each with the slice of its entries that stand for two points. With n = n1 n2, length-n1
+    DFTs down the columns of psi as n1 rows (FFTs for one group, else a cis table's rows times psi),
+    the twiddles exp(-2 pi i k1 j2 / n), then length-n2 FFTs along the rows put X_{k1 + n1 k2} at
+    row k1, column k2; a real psi takes the rows k1 <= n1/2 alone, as |X_{n-k}| = |X_k| maps row
+    k1 to row n1 - k1, so each of the rows 0 < k1 < n1/2 stands for two."""
+    n1 = math.gcd(psi.n, FOUR_STEP_ROWS)  # or n, one whole FFT, if small or the gcd is below 8
+    n1 = psi.n if psi.n < FOUR_STEP_MIN or n1 < 8 else n1
     n2, real = psi.n // n1, not np.iscomplexobj(psi.amps)
-    columns = psi.amps.reshape(n1, n2)
-    spectrum = np.fft.rfft(columns, axis=0) if real else np.fft.fft(columns, axis=0)
-    if n2 > 1:
-        _twiddle(spectrum, psi.n)
-        np.fft.fft(spectrum, axis=1, out=spectrum)
-    spectrum = spectrum.reshape(-1)
-    rho, scratch = spectrum.view(float), np.empty(min(spectrum.size, BLOCK))
-    scale = psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)
-    for lo in range(0, spectrum.size, BLOCK):  # rho[lo:] overlays spectrum[lo // 2:], read already
-        block = np.abs(spectrum[lo : lo + BLOCK], out=scratch[: spectrum.size - lo])
-        block *= scale  # before squaring, as to_momentum scales phi
-        rho[lo : lo + block.size] = np.multiply(block, block, out=block)
-    rho = rho[: spectrum.size]
-    require_positive(f"sum rho ln rho of {source}", (abs(math.log(rho.max())) + 1) / dp)
-    return dp, rho, slice(n2, (n1 + 1) // 2 * n2) if real else slice(0)
+    rows, twice = (n1 // 2 + 1, (n1 + 1) // 2) if real else (n1, 1)
+    size = rows if n2 == 1 else -(-rows // max(1, min(rows * n2 // GROUP, PASSES)))  # per group
+    columns, spectrum = psi.amps.reshape(n1, n2), np.empty((size, n2), complex)
+    w, scratch = math.isqrt(n2 - 1) + 1, np.empty(min(psi.n, BLOCK))  # twiddles: j2 = h w + l
+    coarse, fine = np.arange(0, n2, w), np.arange(w)  # each from a table of about sqrt(n2)
+    if size < rows:  # the table; a real psi takes its rows C_k + i S_k as rows C_k, S_k
+        table = _cis(np.outer(np.arange(rows), np.arange(n1)) % n1 * (-2 * math.pi / n1))
+        table = np.stack((table.real, table.imag), 1) if real else table
+    for k0 in range(0, rows, size):
+        group = spectrum[: min(size, rows - k0)]
+        if size == rows:
+            (np.fft.rfft if real else np.fft.fft)(columns, axis=0, out=group)
+        else:  # the product fills a real psi's row k with C_k psi, then S_k psi: interleave them
+            out = group.view(float).reshape(-1, n2) if real else group
+            np.matmul(table[k0 : k0 + size].reshape(-1, n1), columns, out=out)
+            for row in group.view(float) if real else ():
+                row[::2], row[1::2] = row[:n2].copy(), row[n2:].copy()
+        if n2 > 1:  # row k1 = 0 takes no twiddle; each exponent k1 j2 is reduced mod n in integers
+            k1 = np.arange(max(k0, 1), k0 + len(group))[:, None]
+            high, low = (_cis(k1 * j % psi.n * (-2 * math.pi / psi.n)) for j in (coarse, fine))
+            for row, h, l in zip(group[k0 == 0 :], high, low):
+                row *= np.multiply.outer(h, l).reshape(-1)[:n2]
+            np.fft.fft(group, axis=1, out=group)
+        rho = group.reshape(-1).view(float)[: group.size]
+        for lo in range(0, group.size, BLOCK):  # rho[lo:] overlays entries lo // 2 on, read already
+            block = np.abs(group.reshape(-1)[lo : lo + BLOCK], out=scratch[: group.size - lo])
+            block *= psi.spacing / math.sqrt(2.0 * math.pi * units.hbar)  # as to_momentum scales
+            rho[lo : lo + block.size] = np.multiply(block, block, out=block)
+        yield rho, slice(*(min(max(k - k0, 0), len(group)) * n2 for k in (1, twice)))
 
 
-def _entropy(rho: np.ndarray, spacing: float, twice: slice = slice(0)) -> float:
-    """differential_entropy of the contiguous rho, which turns into rho ln rho; each entry of
-    rho[twice] stands for two points."""
+def _rho_log_rho(rho: np.ndarray) -> float:
+    """sum rho ln rho of at most BLOCK points, turning rho into rho ln rho; 0 ln(ulp) = 0."""
+    return np.sum(np.multiply(rho, np.log(np.maximum(rho, math.ulp(0.0))), out=rho))
 
-    def integral() -> float:
-        return (np.sum(rho) + np.sum(rho[twice])) * spacing
 
-    total = integral()
-    # a NaN or negative entry shows in the min (0 if empty), a +inf one in the total
-    if not rho.min(initial=0.0) >= 0 or (math.isinf(total) and not np.isfinite(rho).all()):
+def _information(groups: Iterable[tuple[np.ndarray, slice]], spacing: float) -> tuple[float, float]:
+    """(-int rho ln rho, max rho) of a density in groups (rho, twice), each entry of rho[twice] for
+    two points; rho turns into rho ln rho. Refused unless finite, nonnegative and of integral 1."""
+    total, entropy, lowest, peak = 0.0, 0.0, math.inf, 0.0
+    for rho, twice in groups:
+        lowest, peak = rho.min(initial=lowest), rho.max(initial=peak)
+        total += np.sum(rho) + np.sum(rho[twice])
+        entropy += _pairwise(rho, _rho_log_rho) + np.sum(rho[twice])
+    # a NaN or negative entry shows in the min, a +inf one in the total
+    if not lowest >= 0 or (math.isinf(total) and not math.isfinite(peak)):
         raise InvalidInputError("density must be finite and nonnegative")
-    if abs(total - 1.0) > 1e-8:
-        raise InvalidInputError(f"density not normalized: integral = {total!r}")
-    scratch = np.empty(min(rho.size, BLOCK))
-    for lo in range(0, rho.size, BLOCK):  # rho ln rho, in place; 0 ln(ulp) = 0
-        block = rho[lo : lo + BLOCK]
-        terms = np.maximum(block, math.ulp(0.0), out=scratch[: block.size])
-        block *= np.log(terms, out=terms)
-    return float(-integral())
+    if abs(total * spacing - 1.0) > 1e-8:
+        raise InvalidInputError(f"density not normalized: integral = {total * spacing!r}")
+    return float(-entropy * spacing), peak
 
 
 def differential_entropy(density: np.ndarray, spacing: float) -> float:
@@ -218,7 +216,7 @@ def differential_entropy(density: np.ndarray, spacing: float) -> float:
     if rho.ndim != 1:
         raise InvalidInputError("density must be one-dimensional")
     require_positive("spacing", spacing)
-    return _entropy(rho, spacing)
+    return _information([(rho, slice(0))], spacing)[0]
 
 
 def gaussian_information(sigma: float) -> float:
@@ -239,9 +237,11 @@ def thermodynamic_entropy(phi: Grid, units: UnitSystem = NATURAL_UNITS) -> float
 
 def entropy_report(psi: Grid, units: UnitSystem = NATURAL_UNITS) -> dict:
     """I_x, I_p, their sum, the bound, and whether the bound is satisfied (see verdicts)."""
-    i_x = _entropy(psi.density(), psi.spacing)
-    dp, rho, twice = _momentum_density(psi, units)
-    i_p = _entropy(rho, dp, twice)
+    i_x = float(-_pairwise(psi.amps, lambda a: _rho_log_rho(np.square(np.abs(a)))) * psi.spacing)
+    dp, source = _momentum_spacing(psi, units)
+    with np.errstate(over="ignore"):  # an overflowing sum of rho ln rho fails the peak guard
+        i_p, peak = _information(_momentum_density(psi, units), dp)
+    require_positive(f"sum rho ln rho of {source}", (abs(math.log(peak)) + 1) / dp)
     report = {"I_x": i_x, "I_p": i_p, "joint": i_x + i_p, "bound": qiur_bound(units)}
     return report | {"satisfied": verdicts(report)["bound_satisfied"].passed}
 

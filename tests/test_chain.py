@@ -1,8 +1,10 @@
-"""One bit, k ln 2, booked the same way across scenarios.
+"""One bit, k ln 2, booked the same way across scenarios, and the Heisenberg floor.
 
 Szilard's insertion, Einstein's halved volume and Brillouin's halved microstate
 count each book one bit. Each link runs through cli.run where a scenario reports
-it, and holds in natural and SI units.
+it, and holds in natural and SI units. A minimum-uncertainty packet's sampled joint
+information meets the closed-form Gaussian informations, whose sum is the bound
+ln(h e / 2) that the demon's measurement cannot beat.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import pytest
 
-from demonlab import cli
+from demonlab import cli, qiur
 from demonlab.fluctuations import (
     BrillouinSpec,
     FluctuationSpec,
@@ -62,3 +64,20 @@ def test_brillouin_breaks_even_at_b_of_minus_log_one_minus_f(system, fraction):
     out = report("einstein", "--brillouin-b", repr(b), "--info-fraction", repr(fraction), *flags)
     assert out["derived"]["brillouin"]["net"] == 0.0
     assert out["verdicts"]["brillouin_net_positive"] is False
+
+
+@pytest.mark.parametrize("sigma_x", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("n", [4096, 2**20], ids=["whole-fft", "stream"])
+def test_a_minimum_uncertainty_packet_samples_the_closed_form_joint(n, sigma_x):
+    # gaussian_information(sigma_x) + gaussian_information(hbar / (2 sigma_x)) is ln(h e / 2),
+    # to the rounding of two logs. The packet is cut at +-8 sigma_x: the truncated Gaussian's
+    # information falls by m + 8 phi(8), with m = erfc(8 / sqrt 2) its lost tail mass and phi
+    # the unit normal density (4.2e-14), and its momentum density moves with it; the sampled
+    # joint fell 2.0 margins below the closed form at both sizes. Allow 3.
+    units = NATURAL_UNITS
+    closed = qiur.gaussian_information(sigma_x)
+    closed += qiur.gaussian_information(units.hbar / (2 * sigma_x))
+    assert abs(closed - qiur.qiur_bound(units)) <= 4 * math.ulp(closed)
+    margin = math.erfc(8 / math.sqrt(2)) + 8 * math.exp(-32) / math.sqrt(2 * math.pi)
+    report = qiur.entropy_report(qiur.gaussian_packet(sigma_x, n=n), units)
+    assert abs(report["joint"] - closed) <= 3 * margin

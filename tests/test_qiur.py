@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,8 @@ from demonlab.errors import InvalidInputError
 from demonlab.units import NATURAL_UNITS, UnitSystem
 
 HBAR_ONE = UnitSystem(h=2.0 * math.pi)
+#: The thread counts of the BLAS builds numpy may link against, as bench/run.py sets them.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 WAVEFN = Path(__file__).with_name("golden") / "wavefn.csv"
 
 
@@ -220,6 +223,14 @@ class TestDifferentialEntropy:
     def test_refuses_a_two_dimensional_density(self):
         with pytest.raises(InvalidInputError, match=r"^density must be one-dimensional$"):
             qiur.differential_entropy(np.full((10, 10), 0.1), 0.1)
+
+    def test_an_overflowing_rho_ln_rho_warns(self):
+        # normalized, one point at 1/spacing: 1e307 ln 1e307 leaves float64 range. Only
+        # entropy_report, whose peak guard then refuses the state, silences numpy's warning
+        rho = np.zeros(64)
+        rho[0] = 1e307
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert qiur.differential_entropy(rho, 1e-307) == -math.inf
 
     def test_a_finite_density_whose_sum_overflows_is_not_normalized(self):
         # the inf total alone does not make an entry non-finite (numpy warns of the overflow)
@@ -532,10 +543,11 @@ class TestRealAmplitudes:
         for grid in (packet, qiur.box_ground_state(1.0), qiur.to_momentum(packet)):
             assert not grid.amps.flags.writeable
 
-    def test_a_2_20_point_cli_report_peaks_at_48_mib(self):
+    def test_a_2_20_point_cli_report_peaks_at_14_mib(self):
+        # the 8 MiB packet and the report's stream: 11.5 MiB in all when measured
         argv = ["qiur", "--grid-n", str(2**20)]
         config = cli.resolve_config("qiur", cli.build_parser().parse_args(argv))
-        assert traced_peak_mib(lambda: cli.run(config)) <= 48
+        assert traced_peak_mib(lambda: cli.run(config)) <= 14
 
     def test_a_2_20_point_transform_peaks_at_72_mib(self):
         assert traced_peak_mib(lambda: qiur.to_momentum(qiur.gaussian_packet(1.0, n=2**20))) <= 72
@@ -580,8 +592,12 @@ def random_real_state(n: int) -> qiur.Grid:
 
 
 BLOCK_SIZES = [64, 4097, 2**17 + 7, 2**20]
-#: Below and above the four-step crossover; gcd(N, 32) of 32, 2 and 1 among them.
-REFERENCE_SIZES = [64, 65, 4097, 3 * 2**10, 2 * 499979, 999983, *(2**k for k in range(12, 23))]
+#: Below and above the four-step crossover; gcd(N, 32) of 32, 8, 2 and 1 among them. From
+#: 2^19 points up (2^18 for a complex state) the rows come in groups, the last one shorter than
+#: the others (2^20: 5, 5, 5, 2 of 17 rows); 32 * 15872 takes groups of rows shorter than BLOCK,
+#: as does a complex 2^18; 8 * 125001 takes rows of an odd length in groups of 2, 2, 1.
+REFERENCE_SIZES = [64, 65, 4097, 3 * 2**10, 2 * 499979, 999983, 3 * 2**16, 32 * 15872,
+                   8 * 125001, *(2**k for k in range(12, 23))]
 REFERENCE_STATES = [
     lambda n, units: qiur.gaussian_packet(0.7, n=n),
     lambda n, units: qiur.box_ground_state(1.0, n=n, units=units),
@@ -627,7 +643,9 @@ class TestBlocks:
         (4 * 2**18 + 4, 4 * 2**18 + 4), (999983, 999983), (2**22, 32),
     ])
     def test_the_split_takes_gcd_rows_from_the_crossover_up(self, n, rows):
-        assert qiur._split(n) == rows
+        # a real state's stream holds the rows k1 <= rows/2 of n // rows points each
+        stream = qiur._momentum_density(random_real_state(n), NATURAL_UNITS)
+        assert sum(rho.size for rho, _ in stream) == (rows // 2 + 1) * (n // rows)
 
     @pytest.mark.parametrize("n", [64, 4097, 2**17 + 7])
     def test_differential_entropy_is_the_whole_array_sum(self, n):
@@ -635,17 +653,48 @@ class TestBlocks:
         rho = psi.density()
         assert qiur.differential_entropy(rho, psi.spacing) == whole_array_entropy(rho, psi.spacing)
 
-    def test_a_2_20_point_report_peaks_at_12_5_mib(self):
-        psi = qiur.gaussian_packet(1.0, n=2**20)
-        assert traced_peak_mib(lambda: qiur.entropy_report(psi)) <= 12.5
+    @pytest.mark.parametrize("n, n1", [(2**15, 32), (2**18, 32), (3 * 2**16, 32), (32 * 15872, 32),
+                                       (2**20, 32), (8 * 125001, 8), (2**22, 32)])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_the_stream_takes_each_row_once_in_at_most_passes_groups(self, n, n1, real):
+        # groups of GROUP points or more, as many as fit up to PASSES, the last one shorter
+        # (2^20: 5, 5, 5, 2 of 17 rows); one group, by FFTs, where all rows fit in 2 GROUP
+        psi = random_real_state(n)
+        if not real:
+            psi = qiur.Grid(psi.origin, psi.spacing, psi.amps.astype(complex))
+        rows, n2 = (n1 // 2 + 1 if real else n1), n // n1
+        groups = [(rho.size // n2, len(range(rho.size)[twice]) // n2)
+                  for rho, twice in qiur._momentum_density(psi, NATURAL_UNITS)]
+        sizes, doubled = zip(*groups)
+        assert sum(sizes) == rows and sum(doubled) == ((n1 + 1) // 2 - 1 if real else 0)
+        assert sizes[-1] <= sizes[0] == max(sizes) and len(sizes) <= qiur.PASSES
+        assert len(sizes) == 1 if rows * n2 < 2 * qiur.GROUP else sizes[0] * n2 >= qiur.GROUP
 
-    def test_a_2_20_point_momentum_density_holds_one_half_length_array(self):
-        # the rfft rows k1 <= 16 of the 32-row split, 2^19 + 2^15 complex values in 8.5 MiB,
-        # and one 0.5 MiB row of twiddles: no second array of the spectrum's size
-        psi = qiur.gaussian_packet(1.0, n=2**20)
-        assert traced_peak_mib(lambda: qiur._momentum_density(psi, NATURAL_UNITS)) <= 9.5
+    @pytest.mark.parametrize("n", [2**18, 2**20, 2**20 + 64, 393224, 557056, 10**6])
+    def test_np_sum_splits_where_the_blocked_sums_split(self, n):
+        # I_x and the packet's norm keep np.sum's bits only while numpy's pairwise sum splits n
+        # points at n//2 - n//2 % 8; a numpy that sums in another order fails here first
+        a = np.random.default_rng(n).random(n)
+        half = n // 2 - n // 2 % 8
+        assert np.sum(a[:half]) + np.sum(a[half:]) == np.sum(a)
 
-    def test_a_2_20_point_report_grows_a_fresh_process_by_12_mb_at_most(self):
+    def test_a_2_20_point_report_peaks_at_4_5_mib(self):
+        # one group of 5 rows of 2^15 (2.5 MiB), two row copies as it interleaves (0.5 MiB) and
+        # a row of twiddles: 3.4 MiB when measured
+        psi = qiur.gaussian_packet(1.0, n=2**20)
+        assert traced_peak_mib(lambda: qiur.entropy_report(psi)) <= 4.5
+
+    @pytest.mark.parametrize("real, mib", [(True, 4.5), (False, 6)], ids=["real", "complex"])
+    def test_a_2_20_point_momentum_stream_holds_one_group_at_a_time(self, real, mib):
+        # a group of 5 rows of 2^15 (2.5 MiB) measured 3.4 MiB in all, a complex state's group
+        # of 8 rows (4 MiB) 4.9 MiB; a whole spectrum takes 8.5 and 16 MiB
+        psi = qiur.gaussian_packet(1.0, n=2**20)
+        if not real:
+            psi = qiur.Grid(psi.origin, psi.spacing, psi.amps.astype(complex))
+        stream = qiur._momentum_density(psi, NATURAL_UNITS)
+        assert traced_peak_mib(lambda: [rho.size for rho, _ in stream]) <= mib
+
+    def test_a_2_20_point_report_grows_a_fresh_process_by_7_5_mb_at_most(self):
         # tracemalloc sees what numpy allocates alone: pocketfft's plans, twiddle tables and
         # copy buffers come from C++ new and malloc, outside Python's hooks. A whole 2^20-point
         # rfft grows the resident set by about 16 MB where it traces 8 MiB, so the bound is on
@@ -662,8 +711,11 @@ class TestBlocks:
             "qiur.entropy_report(psi)\n"
             "print(peak() - before)\n"
         )
+        # one BLAS thread, as measured: a BLAS thread's buffers would count toward VmHWM
+        env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
         )
         assert result.returncode == 0, result.stderr
-        assert 0 < int(result.stdout) / 1024 <= 12
+        # 6.2 MB when measured (9.3 MB for the whole spectrum), of which the stream traces 3.4
+        assert 0 < int(result.stdout) / 1024 <= 7.5
