@@ -9,7 +9,7 @@ deep enough into the central-limit regime. The module needs numpy alone:
 the Gaussian CDF of the few bin edges comes from math.erfc.
 
 The walk is drawn in blocks of ceil(2**16 / W) steps for W walkers, one generator call
-per block, at O(W) a step. The +-1 walk counts each walker's +1 steps B in int32
+per block, at O(W) a step. The +-1 walk counts each walker's +1 steps B in float64
 (x = 2 B - t), and sum x = 2 sum B - W t and sum x^2 = 4 sum B^2 - 4 t sum B + W t^2 are
 float64 sums of whole numbers: exact, so equal to the float walk's bit for bit, while
 W t^2 < 2**53. A block of k +-1 steps takes one step from each bit of ceil(k W / 64) raw
@@ -47,7 +47,7 @@ class WalkSpec:
     """Ensemble walk parameters; sigma_step applies to the Gaussian law only."""
 
     #: A larger walk would not fit in memory or time: a step costs O(W) below 2**16 walkers
-    #: (+-1 counts are int32, a draw takes 3 ns) and O(occupied sites) for +-1 walkers above.
+    #: (+-1 counts are float64, a draw takes 3 ns) and O(occupied sites) for +-1 walkers above.
     MAX_STEPS, MAX_WALKERS, MAX_DRAWS = 10**7, 10**7, 10**9
 
     n_steps: int
@@ -64,19 +64,19 @@ class WalkSpec:
             raise InvalidInputError(f"step_law must be one of {STEP_LAWS}")
         require_positive("sigma_step", self.sigma_step)
         # a normal var, and a finite sum of the fit's n_steps squared MSDs (each ~ (n_steps var)^2)
-        var = self.sigma_step * self.sigma_step if self.step_law == STEP_GAUSSIAN else 1.0
+        var = self.step_variance
         source = f"sigma_step out of float64 range: with sigma_step={self.sigma_step!r},"
         require_positive(f"{source} the variance", var, least=NORMAL)
         require_positive(f"{source} n_steps**3 var**2", self.n_steps**3 * var * var, least=0.0)
 
     @property
     def step_variance(self) -> float:
-        return 1.0 if self.step_law == STEP_PLUS_MINUS_ONE else self.sigma_step**2
+        return 1.0 if self.step_law == STEP_PLUS_MINUS_ONE else self.sigma_step * self.sigma_step
 
 
 def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int | np.ndarray) -> np.ndarray:
-    """The next k steps of every walker, one row each: float64 Gaussian steps, or int32 1 for
-    a +1 step and 0 for a -1 step. A (k, W) normal draw fills in C order, so it equals k row
+    """The next k steps of every walker, one row each in float64: Gaussian steps, or 1.0 for
+    a +1 step and 0.0 for a -1 step. A (k, W) normal draw fills in C order, so it equals k row
     draws. The +-1 steps are the bits of ceil(k W / 64) raw PCG64 words, each word read from
     its least significant bit up, the words in order; the bits left in the last word go unused.
     Given an array k of walkers at each site instead: how many of each step up (0 draws none)."""
@@ -87,7 +87,7 @@ def _draw_steps(spec: WalkSpec, rng: np.random.Generator, k: int | np.ndarray) -
     n = k * spec.n_walkers
     words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
     bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
-    return bits.astype(np.int32).reshape(k, spec.n_walkers)
+    return bits.astype(float).reshape(k, spec.n_walkers)
 
 
 def _counted(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
@@ -108,19 +108,15 @@ def _counted(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
 def _walk(spec: WalkSpec) -> Iterator[tuple[int, np.ndarray]]:
     """The seeded walk in blocks of ceil(BLOCK_DRAWS / n_walkers) steps: yields (t0, block), row
     i the state after step t0 + i + 1 in float64: the Gaussian positions, or the +-1 counts B,
-    kept in int32 and copied into one buffer that the next block overwrites."""
+    whole numbers below 2**53 that every sum and square-sum adds exactly."""
     rng = np.random.default_rng(spec.rng_seed)
     k = -(-BLOCK_DRAWS // spec.n_walkers)
-    last = np.zeros(spec.n_walkers, dtype=float if spec.step_law == STEP_GAUSSIAN else np.int32)
-    mirror = np.empty((min(k, spec.n_steps), spec.n_walkers))
+    last = np.zeros(spec.n_walkers)
     for t0 in range(0, spec.n_steps, k):
         block = _draw_steps(spec, rng, min(k, spec.n_steps - t0))
         for row in block:
             row += last
             last = row
-        if spec.step_law == STEP_PLUS_MINUS_ONE:
-            np.copyto(mirror[: len(block)], block)
-            block = mirror[: len(block)]
         yield t0, block
 
 

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale Second-Law experiments: relaxation, uncertainty, demons.",
     )
     parser.add_argument("--version", action="version", version=f"demonlab {__version__}")
-    sub = parser.add_subparsers(dest="scenario", metavar="scenario")
+    sub = parser.add_subparsers(dest="scenario", metavar="scenario", required=True)
     for name in SCENARIOS:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", default=None, help="flat key = value config file")
@@ -148,7 +148,7 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> Params:
 
 @dataclass
 class Params:
-    """A scenario's parameters, recording each key read; peek looks at one without reading it."""
+    """A scenario's parameters, recording each key read by []; reading .values records none."""
 
     scenario: str
     values: dict[str, Any]
@@ -156,9 +156,6 @@ class Params:
 
     def __getitem__(self, key: str) -> Any:
         self.read.add(key)
-        return self.values[key]
-
-    def peek(self, key: str) -> Any:
         return self.values[key]
 
 
@@ -282,8 +279,8 @@ def _run_einstein(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import fluctuations as fluct
 
     ratio, trials = params["volume_ratio"], params["trials"]
-    energy = require_positive("energy", params.peek("energy"), least=0.0)
-    frequency = require_positive("frequency", params.peek("frequency"), least=0.0)
+    energy = require_positive("energy", params.values["energy"], least=0.0)
+    frequency = require_positive("frequency", params.values["frequency"], least=0.0)
     if energy > 0 and frequency > 0:
         energy, frequency = params["energy"], params["frequency"]
         spec = fluct.FluctuationSpec.from_radiation(energy, frequency, ratio, units)
@@ -414,12 +411,7 @@ def run(params: Params) -> dict[str, Any]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.scenario is None:
-        parser.print_usage(sys.stderr)
-        print("demonlab: error: a scenario subcommand is required", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         report = run(resolve_config(args.scenario, args))
         sys.stdout.write(json_dumps(report))

@@ -259,16 +259,16 @@ class TestIntegerWalk:
 
     @pytest.mark.parametrize("walkers", [1, 2, 7, 1001, 4096])
     def test_pm1_steps_and_state_are_those_of_integers(self, walkers):
-        # draws of k rows, checked against the Python-int bits of their words, alternate with
-        # rng.integers on one generator: a 32-bit half that integers leaves over waits in the
-        # state for the next integers call, and raw words do not touch it
+        # draws of k rows, float64 0.0 and 1.0 checked against the Python-int bits of their
+        # words, alternate with rng.integers on one generator: a 32-bit half that integers
+        # leaves over waits in the state for the next integers call, and raw words do not touch it
         spec = br.WalkSpec(n_steps=1, n_walkers=walkers, rng_seed=0)
         ref, rng = np.random.default_rng(8), np.random.default_rng(8)
         for i, k in enumerate([1, 1, 3, 3, 2, 5]):
             if i % 2:
-                expected = np.reshape(pm1_bits(ref, k * walkers), (k, walkers))
+                expected = np.reshape(pm1_bits(ref, k * walkers), (k, walkers)).astype(float)
                 steps = br._draw_steps(spec, rng, k)
-                assert steps.dtype == np.int32 and steps.shape == (k, walkers)
+                assert steps.dtype == np.float64 and steps.shape == (k, walkers)
             else:
                 expected = ref.integers(0, 2, size=k * walkers).reshape(k, walkers)
                 steps = rng.integers(0, 2, size=k * walkers).reshape(k, walkers)

@@ -4,7 +4,9 @@ Szilard's insertion, Einstein's halved volume and Brillouin's halved microstate
 count each book one bit. Each link runs through cli.run where a scenario reports
 it, and holds in natural and SI units. A minimum-uncertainty packet's sampled joint
 information meets the closed-form Gaussian informations, whose sum is the bound
-ln(h e / 2) that the demon's measurement cannot beat.
+ln(h e / 2) that the demon's measurement cannot beat. Einstein's one-component
+halving is sampled at its probability 1/2, and Szilard's insertion and the speed
+demon's probe each book k times a difference of Gaussian momentum informations.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import pytest
 
-from demonlab import cli, qiur
+from demonlab import cli, qiur, szilard
 from demonlab.fluctuations import (
     BrillouinSpec,
     FluctuationSpec,
@@ -81,3 +83,29 @@ def test_a_minimum_uncertainty_packet_samples_the_closed_form_joint(n, sigma_x):
     margin = math.erfc(8 / math.sqrt(2)) + 8 * math.exp(-32) / math.sqrt(2 * math.pi)
     report = qiur.entropy_report(qiur.gaussian_packet(sigma_x, n=n), units)
     assert abs(report["joint"] - closed) <= 3 * margin
+
+
+def test_einstein_estimates_half_within_its_own_3_sigma():
+    # one component, half the volume: the all-inside probability is 1/2, and 10^5 seeded
+    # placements read 0.50098 at seed 0, inside the report's own mc_within_3sigma Check
+    out = report("einstein", "--n-components", "1", "--volume-ratio", "0.5",
+                 "--trials", "100000", "--seed", "0")
+    derived = out["derived"]
+    assert (derived["probability"], derived["mc_probability"]) == (0.5, 0.50098)
+    assert abs(derived["mc_probability"] - 0.5) <= derived["mc_tol_3sigma"]
+    assert out["verdicts"]["mc_within_3sigma"] is True
+
+
+@pytest.mark.parametrize("k", [1.0, 1.380649e-23, 1e4])
+def test_szilard_and_speed_demon_book_momentum_spreads_as_gaussian_informations(k):
+    # both ledgers are k times a difference of closed-form Gaussian informations of momentum
+    # spreads: szilard's insertion doubles sigma_p (measured 0 ulp apart), and the speed-demon
+    # probe takes p_rms to sigma_p_post (measured 0 to 3 ulp apart); allow 4 ulp
+    box = szilard.EngineBox(1.0, 1.0, 1.0)
+    sigma_p = szilard.initial_state(box, UnitSystem(k=k)).state.sigma_p
+    booked = k * (qiur.gaussian_information(2 * sigma_p) - qiur.gaussian_information(sigma_p))
+    insertion = report("szilard", "--k", repr(k))["derived"]["insertion_dS"]
+    assert abs(booked - insertion) <= 4 * math.ulp(insertion)
+    demon = report("speed-demon", "--k", repr(k), "--attempts", "1000")["derived"]
+    ratio = k * math.log(demon["sigma_p_post"] / demon["p_rms"])
+    assert abs(demon["dS_momentum"] - ratio) <= 4 * math.ulp(ratio)

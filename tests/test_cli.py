@@ -213,6 +213,16 @@ class TestExitContract:
     def test_usage_error_missing_scenario(self):
         result = run_cli()
         assert result.returncode == 2
+        usage, error = result.stderr.splitlines()  # argparse's own, with no traceback
+        assert usage.startswith("usage: demonlab ")
+        assert error == "demonlab: error: the following arguments are required: scenario"
+        assert result.stdout == ""
+
+    def test_missing_scenario_exits_as_every_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        assert exc.value.code == 2
+        assert "demonlab: error:" in capsys.readouterr().err
 
     def test_usage_error_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,8 +1,9 @@
 """Physics relations that hold for every input, where one anchor value cannot tell a
 formula from its mutant: how the golden-rule rate scales with h, where speed-sorting
 becomes infeasible, how the einstein entropies scale with k but not with h, how
-every verdict keeps, and every k-valued field scales, under k -> c k, and how the
-momentum information and its bound shift by ln c under h -> c h."""
+every verdict keeps, and every k-valued field scales, under k -> c k, how the
+momentum information and its bound shift by ln c under h -> c h, how szilard's
+entropies ignore the box, and where h nu = kT / 100 puts the sorting ratio."""
 
 import json
 import math
@@ -21,6 +22,7 @@ from demonlab.fluctuations import (
     gas_entropy_change,
 )
 from demonlab.reporting import json_dumps
+from demonlab.speed_demon import GasSpec, ProbeSpec, sorting_feasibility
 from demonlab.units import UnitSystem
 
 
@@ -155,3 +157,35 @@ def test_h_to_ch_shifts_i_p_and_the_bound_by_ln_c(n, c):
     gap = (scaled["joint"] - scaled["bound"]) - (base["joint"] - base["bound"])
     assert abs(gap) <= slack
     assert scaled["satisfied"] is base["satisfied"] is True
+
+
+#: Box length, temperature and mass of the szilard invariance test.
+BOXES = [(1.0, 1.0, 1.0), (1e-9, 300.0, 6.6e-26), (10.0, 1e-3, 1e3)]
+
+
+@pytest.mark.parametrize("k", [1.0, 1.380649e-23, 1e4])
+def test_szilard_entropies_do_not_read_the_box_and_work_over_t_keeps_its_value(k):
+    # insertion_dS is k ln(2 sigma_p / sigma_p) and net_dS sums +-k ln 2: neither sees L, T or
+    # m. net_work sums n copies of fl(fl(k T) ln 2) in order, so net_work / T is n k ln 2 to a
+    # relative (n + 2) eps / 2 + O(eps^2) on each side; two sides differ by (n + 3) eps at most.
+    # Measured: 11.4 eps at most, at n = 100
+    n = 100
+    derived = [derived_at(("szilard", "--cycles", str(n), "--length", repr(length),
+                           "--temperature", repr(t), "--mass", repr(m)), "--k", repr(k))[0]
+               for length, t, m in BOXES]
+    assert len({(d["insertion_dS"], d["net_dS"]) for d in derived}) == 1
+    per_t = [d["net_work"] / t for d, (_length, t, _m) in zip(derived, BOXES)]
+    for value in per_t[1:]:
+        assert abs(value - per_t[0]) <= (n + 3) * sys.float_info.epsilon * per_t[0]
+
+
+@pytest.mark.parametrize("t, m", [(1.0, 1.0), (300.0, 6.64e-26), (1e-3, 1e5)])
+@pytest.mark.parametrize("h", [1.0, 6.62607015e-34, 1e-4])
+@pytest.mark.parametrize("k", [1.0, 1.380649e-23, 1e4])
+def test_sorting_feasibility_is_ten_at_h_nu_of_kt_over_100(k, h, t, m):
+    # sigma_x / d = sqrt(kT / h nu) in any units, to the roundings of its products, roots and
+    # quotients: measured 1 ulp from 10 at worst; allow 2
+    units = UnitSystem(k=k, h=h)
+    gas = GasSpec(t, m)
+    ratio = sorting_feasibility(gas, ProbeSpec.from_energy_ratio(gas, 100.0, units), units)
+    assert abs(ratio - 10.0) <= 2 * math.ulp(10.0)
