@@ -10,12 +10,12 @@ passes, 1 on scenario failure or error, 2 on usage errors.
 
 The CLI parses, imports the scenario's module (and numpy) only when that
 scenario runs, runs it and emits. SCENARIOS holds each scenario's runner and
-keys; resolve_config gives the Params that run takes. A runner reads the keys
-its branch uses, yields, then works; in between, run refuses each key set
-away from its default that went unread, the one place that rule lives. The
-scenario's module builds each verdict as a reporting.Check, and run writes
-its passed bool. A report with a table defines its CSV columns (CSV_HEADER,
-to_rows); other scenarios write reporting.kv_rows of their derived values.
+keys, whose defaults give their types; resolve_config gives the Params that
+run takes. A runner reads the keys its branch uses, yields {key: the decision
+that skips it}, then works; in between, run alone refuses each key set away
+from its default that went unread. The scenario's module builds each verdict
+as a reporting.Check, and run writes its passed bool. A table report defines
+its CSV columns (CSV_HEADER, to_rows); others write kv_rows of derived values.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ class UsageError(Exception):
     """Bad invocation: unknown key, type mismatch, malformed config."""
 
 
-#: key -> (python type, default); shared by every scenario.
-COMMON_PARAMS: dict[str, tuple[type, Any]] = {
-    "seed": (int, 0),
-    "k": (float, 1.0),
-    "h": (float, 1.0),
-    "si": (bool, False),
-    "output": (str, ""),
-    "format": (str, "json"),
+#: key -> default, whose type is the key's (so 1.0, not 1, for a float); shared by every scenario.
+COMMON_PARAMS: dict[str, Any] = {
+    "seed": 0,
+    "k": 1.0,
+    "h": 1.0,
+    "si": False,
+    "output": "",
+    "format": "json",
 }
 
 _BOOL_STRINGS = {
@@ -55,7 +55,7 @@ _BOOL_STRINGS = {
 }
 
 
-def _param_table(scenario: str) -> dict[str, tuple[type, Any]]:
+def _param_table(scenario: str) -> dict[str, Any]:
     return {**COMMON_PARAMS, **SCENARIOS[scenario][1]}
 
 
@@ -71,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", default=None, help="flat key = value config file")
-        for key, (typ, _default) in _param_table(name).items():
+        for key, default in _param_table(name).items():
             flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                sp.add_argument(flag, dest=key, action="store_const", const=True, default=None)
+            if type(default) is bool:
+                sp.add_argument(flag, dest=key, action="store_const", const="true", default=None)
             else:
                 sp.add_argument(flag, dest=key, type=str, default=None)
     return parser
@@ -84,7 +84,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Parse `key = value` lines; `#` starts a comment; duplicates are errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -105,9 +105,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def _coerce(key: str, raw: str, typ: type) -> Any:
     if typ is bool:
-        if isinstance(raw, bool):
-            return raw
-        low = str(raw).strip().lower()
+        low = raw.strip().lower()
         if low not in _BOOL_STRINGS:
             raise UsageError(f"key {key!r}: expected a boolean, got {raw!r}")
         return _BOOL_STRINGS[low]
@@ -120,7 +118,7 @@ def _coerce(key: str, raw: str, typ: type) -> Any:
 def resolve_config(scenario: str, args: argparse.Namespace) -> Params:
     """Apply the precedence flags > config file > DEMONLAB_SEED > defaults."""
     table = _param_table(scenario)
-    params = {key: default for key, (_t, default) in table.items()}
+    params = dict(table)
 
     env_seed = os.environ.get("DEMONLAB_SEED")
     if env_seed is not None:
@@ -132,12 +130,12 @@ def resolve_config(scenario: str, args: argparse.Namespace) -> Params:
         if unknown:
             raise UsageError(f"unknown config key(s) for {scenario}: {', '.join(unknown)}")
         for key, raw in cfg.items():
-            params[key] = _coerce(key, raw, table[key][0])
+            params[key] = _coerce(key, raw, type(table[key]))
 
-    for key, (typ, _default) in table.items():
+    for key, default in table.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            params[key] = _coerce(key, flag_value, typ)
+            params[key] = _coerce(key, flag_value, type(default))
 
     if params["format"] not in ("json", "csv"):
         raise UsageError(f"format must be json or csv, got {params['format']!r}")
@@ -159,8 +157,8 @@ class Params:
         return self.values[key]
 
 
-#: Yields the branch's phrase or {key: phrase}, then returns (derived, checks, table or None).
-Run = Generator[str | dict[str, str] | None, None, tuple[dict[str, Any], dict[str, Check], Any]]
+#: Yields {key: the decision that skips it}, then returns (derived, checks, table or None).
+Run = Generator[dict[str, str], None, tuple[dict[str, Any], dict[str, Check], Any]]
 
 
 def _run_h_theorem(params: Params, units: UnitSystem, seed: int) -> Run:
@@ -170,7 +168,7 @@ def _run_h_theorem(params: Params, units: UnitSystem, seed: int) -> Run:
 
     rates_file, p0_text, samples = params["rates_file"], params["p0"], params["samples"]
     states, t_max = None if rates_file else params["states"], params["t_max"]
-    yield rates_file and "with rates_file"
+    yield {"states": "with rates_file"}
     rng = np.random.default_rng(seed)
     if rates_file.endswith(".json"):
         rates = markov.rate_matrix_from_json(rates_file)
@@ -210,7 +208,7 @@ def _run_fgr(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import fgr
 
     gamma, samples = params["gamma"], params["samples"]
-    yield
+    yield {}
     sample = fgr.simulate_decay(gamma, samples, seed)
     derived = {
         "gamma": sample.gamma,
@@ -226,15 +224,15 @@ def _run_qiur(params: Params, units: UnitSystem, seed: int) -> Run:
     from . import qiur
 
     if path := params["input"]:
-        yield "with input"
+        yield dict.fromkeys(("sigma_x", "box_length", "grid_n"), "with input")
         psi = qiur.wavefunction_from_csv(path)
     elif (box_length := require_positive("box_length", params["box_length"], least=0.0)) > 0:
         n = params["grid_n"]
-        yield "with box_length"
+        yield {"sigma_x": "with box_length"}
         psi = qiur.box_ground_state(box_length, n=n, units=units)
     else:
         sigma_x, n = params["sigma_x"], params["grid_n"]
-        yield
+        yield {}
         psi = qiur.gaussian_packet(sigma_x, n=n)
     report = qiur.entropy_report(psi, units)
     return report, qiur.verdicts(report), None
@@ -245,7 +243,7 @@ def _run_szilard(params: Params, units: UnitSystem, seed: int) -> Run:
 
     box = szilard.EngineBox(params["length"], params["temperature"], params["mass"])
     cycles, convention = params["cycles"], params["convention"]
-    yield
+    yield {}
     ledger = szilard.run_cycle(box, cycles, seed, units, convention=convention)
     derived = {
         "cycles": cycles,
@@ -267,7 +265,7 @@ def _run_speed_demon(params: Params, units: UnitSystem, seed: int) -> Run:
     else:
         probe = speed_demon.ProbeSpec.from_energy_ratio(gas, params["ratio"], units)
     door, attempts = require_positive("door", params["door"], least=0.0), params["attempts"]
-    yield nu_low > 0 and "with nu_low"
+    yield {"ratio": "with nu_low"}
     door = door or speed_demon.max_door_size(speed_demon.rms_momentum(gas, units), units)
     report = speed_demon.simulate_sorting(
         gas, probe, speed_demon.SortingGeometry(door), attempts, seed, units
@@ -300,7 +298,7 @@ def _run_brownian(params: Params, units: UnitSystem, seed: int) -> Run:
     law = params["step_law"]
     sigma = {} if law == brownian.STEP_PLUS_MINUS_ONE else {"sigma_step": params["sigma_step"]}
     spec = brownian.WalkSpec(params["steps"], params["walkers"], seed, law, **sigma)
-    yield law == brownian.STEP_PLUS_MINUS_ONE and "under the +-1 step law"
+    yield {"sigma_step": "under the +-1 step law"}
     report = brownian.simulate_walks(spec)
     derived = {
         "msd_final": report.msd[-1],
@@ -313,54 +311,54 @@ def _run_brownian(params: Params, units: UnitSystem, seed: int) -> Run:
     return derived, report.verdicts(), report
 
 
-#: scenario -> (runner, {key: (python type, default)}), beside COMMON_PARAMS.
-SCENARIOS: dict[str, tuple[Callable[..., Run], dict[str, tuple[type, Any]]]] = {
+#: scenario -> (runner, {key: default}), beside COMMON_PARAMS.
+SCENARIOS: dict[str, tuple[Callable[..., Run], dict[str, Any]]] = {
     "h-theorem": (_run_h_theorem, {
-        "states": (int, 6),
-        "rates_file": (str, ""),
-        "p0": (str, ""),
-        "t_max": (float, 0.0),
-        "samples": (int, 25),
+        "states": 6,
+        "rates_file": "",
+        "p0": "",
+        "t_max": 0.0,
+        "samples": 25,
     }),
     "fgr": (_run_fgr, {
-        "gamma": (float, 1.0),
-        "samples": (int, 100_000),
+        "gamma": 1.0,
+        "samples": 100_000,
     }),
     "qiur": (_run_qiur, {
-        "input": (str, ""),
-        "sigma_x": (float, 1.0),
-        "box_length": (float, 0.0),
-        "grid_n": (int, 4096),
+        "input": "",
+        "sigma_x": 1.0,
+        "box_length": 0.0,
+        "grid_n": 4096,
     }),
     "szilard": (_run_szilard, {
-        "cycles": (int, 1),
-        "length": (float, 1.0),
-        "temperature": (float, 1.0),
-        "mass": (float, 1.0),
-        "convention": (str, "box-scale"),
+        "cycles": 1,
+        "length": 1.0,
+        "temperature": 1.0,
+        "mass": 1.0,
+        "convention": "box-scale",
     }),
     "speed-demon": (_run_speed_demon, {
-        "temperature": (float, 1.0),
-        "mass": (float, 1.0),
-        "nu_low": (float, 0.0),
-        "ratio": (float, 100.0),
-        "door": (float, 0.0),
-        "attempts": (int, 10_000),
+        "temperature": 1.0,
+        "mass": 1.0,
+        "nu_low": 0.0,
+        "ratio": 100.0,
+        "door": 0.0,
+        "attempts": 10_000,
     }),
     "einstein": (_run_einstein, {
-        "n_components": (float, 3.0),
-        "energy": (float, 0.0),
-        "frequency": (float, 0.0),
-        "volume_ratio": (float, 0.5),
-        "trials": (int, 100_000),
-        "brillouin_b": (float, 0.0),
-        "info_fraction": (float, 0.0),
+        "n_components": 3.0,
+        "energy": 0.0,
+        "frequency": 0.0,
+        "volume_ratio": 0.5,
+        "trials": 100_000,
+        "brillouin_b": 0.0,
+        "info_fraction": 0.0,
     }),
     "brownian": (_run_brownian, {
-        "steps": (int, 100),
-        "walkers": (int, 10_000),
-        "step_law": (str, "plus_minus_one"),  # brownian.STEP_PLUS_MINUS_ONE
-        "sigma_step": (float, 1.0),
+        "steps": 100,
+        "walkers": 10_000,
+        "step_law": "plus_minus_one",  # brownian.STEP_PLUS_MINUS_ONE
+        "sigma_step": 1.0,
     }),
 }
 
@@ -372,13 +370,11 @@ def run(params: Params) -> dict[str, Any]:
     csv = output and params["format"] == "csv"
     start = time.perf_counter()
     runner = SCENARIOS[params.scenario][0](params, units, seed)
-    skipped_by = {"k": "with si", "h": "with si", "format": "without output"}
-    branch, unread = next(runner) or "", {}
-    if isinstance(branch, dict):  # einstein names one decision per key
-        skipped_by, branch = skipped_by | branch, ""
-    for key, (_typ, default) in _param_table(params.scenario).items():
+    skipped_by = {"k": "with si", "h": "with si", "format": "without output"} | next(runner)
+    unread: dict[str, list[str]] = {}
+    for key, default in _param_table(params.scenario).items():
         if key not in params.read and params.values[key] != default:
-            unread.setdefault(skipped_by.get(key, branch), []).append(key)
+            unread.setdefault(skipped_by.get(key, ""), []).append(key)
     if unread:
         raise InvalidInputError("; ".join(
             f"{', '.join(keys)} set but not read {why}".rstrip() for why, keys in unread.items()))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -228,10 +229,10 @@ def equilibrium_distribution(rates: RateMatrix) -> ProbDist:
 
 
 def spectral_gap(rates: RateMatrix) -> float:
-    """-lambda_2 of L, the slowest rate of approach to the equilibrium. A
-    disconnected graph (gap 0) raises NonUniqueEquilibriumError first."""
+    """-lambda_2 of L, the slowest rate of approach to the equilibrium. A disconnected graph
+    (gap 0) raises NonUniqueEquilibriumError first; a gap rounded to <= 0, InvalidInputError."""
     equilibrium_distribution(rates)
-    return float(-rates.spectrum[0][-2])
+    return require_positive("the spectral gap of the rates", float(-rates.spectrum[0][-2]))
 
 
 def detailed_balance_residual(rates: RateMatrix, p: ProbDist) -> float:
@@ -343,8 +344,10 @@ def random_symmetric_rates(n: int, rng: np.random.Generator) -> RateMatrix:
 def rate_matrix_from_text(path: str | Path) -> RateMatrix:
     """Read whitespace-separated rows of rates from a plain-text file."""
     try:
-        r = np.loadtxt(path, ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():  # an empty file warns; make it the one error
+            warnings.simplefilter("error", UserWarning)
+            r = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise InvalidInputError(f"cannot parse rate matrix from {path}: {exc}") from exc
     return RateMatrix(r)
 
@@ -354,7 +357,7 @@ def rate_matrix_from_json(path: str | Path) -> RateMatrix:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or not UTF-8
         raise InvalidInputError(f"cannot parse JSON from {path}: {exc}") from exc
     if not isinstance(doc, dict) or "rates" not in doc:
         raise InvalidInputError('JSON rate file must contain a "rates" field')

@@ -66,7 +66,7 @@ class Grid:
             if a.ndim != 1:
                 raise InvalidInputError("grid amplitudes must be one-dimensional")
             require_count("grid points", a.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
-            require_positive("grid spacing", self.spacing)
+            require_positive("grid spacing", self.spacing, least=NORMAL)  # or |amp|^2 overflows
             if not math.isfinite(self.origin):
                 raise InvalidInputError(f"grid origin must be finite, got {self.origin!r}")
             if not np.all(np.isfinite(a)):
@@ -325,12 +325,12 @@ def wavefunction_from_csv(path: str | Path) -> Grid:
         raise
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:  # csv.Error: a field over csv.field_size_limit()
         raise InvalidInputError(f"{path}: malformed numeric row: {exc}") from exc
     x, re, im = np.array(rows).reshape(-1, 3).T
     require_count("grid points", x.size, MIN_GRID_POINTS, MAX_GRID_POINTS)
-    steps = np.diff(x)
-    dx = float(steps[0])
-    if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
+    dx = float(x[1] - x[0])
+    if dx <= 0 or not np.allclose(np.diff(x), dx, rtol=1e-9, atol=0.0):
         raise InvalidInputError(f"{path}: x column must be uniformly increasing")
-    return Grid(float(x[0]), dx, _normalized(str(path), dx, re + 1j * im))
+    amps = np.stack((re, im), axis=-1).view(complex)[:, 0]  # not re + 1j * im: 1j * inf is nan
+    return Grid(float(x[0]), dx, _normalized(str(path), dx, amps))

@@ -310,6 +310,12 @@ class TestErrorsAtSource:
             (["qiur", "--grid-n", "0"], None, None),
             (["qiur", "--box-length", "1", "--grid-n", "0"], None, None),
             (["qiur", "--box-length", "2", "--config"], "qiur.cfg", "sigma_x = 3\n"),
+            (["h-theorem", "--rates-file"], "rates.json",
+             '{"rates": [[0, 1e300, 1e-300], [1e300, 0, 0], [1e-300, 0, 0]]}'),
+            (["qiur", "--input"], "psi.csv",
+             "x,re,im\n" + "".join(f"{i * 5e-324!r},1,0\n" for i in range(64))),
+            (["qiur", "--input"], "psi.csv",
+             "x,re,im\n" + "".join(f"{i},1,{'inf' if i == 3 else 0}\n" for i in range(64))),
             *((argv, None, None) for argv, _names in NAMED_ERRORS.values()),
         ],
         ids=[
@@ -317,7 +323,8 @@ class TestErrorsAtSource:
             "sigma-x-underflow", "rates-disconnected", "sigma-step-overflow",
             "sigma-step-underflow", "gamma-subnormal", "temperature-subnormal",
             "h-underflow", "csv-zero", "csv-norm-overflow", "grid-n-zero", "box-grid-n-zero",
-            "config-key-unread", *NAMED_ERRORS,
+            "config-key-unread", "rates-gap-rounded-to-zero", "csv-spacing-subnormal",
+            "csv-im-infinite", *NAMED_ERRORS,
         ],
     )
     def test_one_error_line_and_exit_1(self, argv, filename, content, tmp_path, capsys):
@@ -331,6 +338,29 @@ class TestErrorsAtSource:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"demonlab {argv[0]}: error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, filename, content, code",
+        [
+            (["fgr", "--config"], "fgr.cfg", b"\xff\xfeseed = 1\n", 2),
+            (["h-theorem", "--rates-file"], "rates.json", b'\xff\xfe{"rates": [[0, 1]]}', 1),
+            (["h-theorem", "--rates-file"], "rates.json", b'{"rates": ' + b"[" * 10**5, 1),
+            (["h-theorem", "--rates-file"], "rates.txt", b"", 1),
+            (["qiur", "--input"], "psi.csv", b"x,re,im\n" + b"1" * 140_000 + b",0,0\n", 1),
+        ],
+        ids=["config-not-utf8", "json-not-utf8", "json-nested-1e5", "text-empty", "csv-long-field"],
+    )
+    def test_an_unreadable_file_ends_in_one_line_naming_it(
+        self, argv, filename, content, code, tmp_path, capsys
+    ):
+        path = tmp_path / filename
+        path.write_bytes(content)
+        assert cli.main([*argv, str(path)]) == code  # pytest turns each warning into an error
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        prefix = "demonlab: error: " if code == 2 else f"demonlab {argv[0]}: error: "
+        assert lines[0].startswith(prefix) and str(path) in lines[0], lines
 
     @pytest.mark.parametrize("argv, names", NAMED_ERRORS.values(), ids=NAMED_ERRORS)
     def test_error_line_names_the_inputs(self, argv, names, capsys):

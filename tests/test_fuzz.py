@@ -11,6 +11,9 @@ the speed-demon probe's documented gentle-probe UserWarning. A zero-means-unset
 flag (0.0 or -0.0 keeps its default) set below zero or to NaN must not exit 0.
 Each key set alone to a valid value away from its default is either read (a
 report) or refused in one error line that names it, before any work is done.
+Generated --config files, rates files and qiur CSVs keep the same contract; an
+error about a file's own reading names the file, which is not asserted here
+because the checks downstream of the reader (say, a non-square matrix) do not.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,7 +64,7 @@ INT_EXTREMES = [-1, 0, 1, 10**11, 2**63, 10**30]
 
 
 def flags(scenario: str, kind: type) -> list[str]:
-    return [key for key, (typ, _default) in cli._param_table(scenario).items() if typ is kind]
+    return [key for key, default in cli._param_table(scenario).items() if type(default) is kind]
 
 
 def _reject_constant(name: str) -> None:
@@ -209,3 +214,122 @@ def test_an_unread_key_is_refused_before_the_work(module, work, argv, line, monk
     monkeypatch.setattr(module, work, fail)
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", line + "\n")
+
+
+#: Config values beside each key's valid one: out of range, non-finite, malformed, empty.
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "2.5", "1e400", "nan", "-inf", "true", "no", "", "csv",
+                     "0x10", "1_000", "."]),
+    st.text(alphabet="0123456789.-+eEinaftrux ,#=", max_size=8),
+)
+
+
+@st.composite
+def config_files(draw, scenario: str) -> tuple[str, bytes]:
+    """A config file (name, bytes): raw bytes, or `key = value` lines: the scenario's keys,
+    dashed or not, each at its valid non-default value (unread ones among them) or a bad
+    one, an unknown key, comments and blank lines, and now and then a line with no `=`."""
+    if draw(st.sampled_from([False] * 5 + [True])):
+        return "fuzz.cfg", draw(st.binary(max_size=48))
+    table = cli._param_table(scenario)
+    keys = [*table, *(key.replace("_", "-") for key in table if "_" in key), "colour"]
+    lines = draw(st.lists(st.sampled_from(["# comment", "", "  "]), max_size=2))
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=4)):
+        valid = NON_DEFAULTS.get(key.replace("-", "_")) or "true"
+        lines.append(f"{key} = {draw(st.one_of(st.just(valid), CONFIG_VALUES))}")
+    if draw(st.sampled_from([False] * 9 + [True])):
+        lines.append("no equals sign")
+    return "fuzz.cfg", "\n".join(draw(st.permutations(lines))).encode()
+
+
+#: Nonnegative finite rates, up to 300 decades either side of 1.
+RATES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-300, 1e300])
+
+
+@st.composite
+def rates_files(draw) -> tuple[str, bytes]:
+    """A rates file (name, bytes): a symmetric matrix, valid or with one defect
+    (asymmetric, NaN, infinite, negative, disconnected, ragged), or an empty, binary or
+    deeply nested file."""
+    name = draw(st.sampled_from(["rates.json", "rates.txt"]))
+    kind = draw(st.sampled_from(["valid"] * 6 + ["asymmetric", "nan", "inf", "negative",
+                                             "disconnected", "ragged", "empty", "binary",
+                                             "nested"]))
+    if kind == "empty":
+        return name, b""
+    if kind == "binary":
+        return name, draw(st.binary(min_size=1, max_size=48))
+    if kind == "nested":
+        depth = draw(st.sampled_from([3, 64, 65, 10**4]))
+        return name, ('{"rates": ' + "[" * depth + "1" + "]" * depth + "}").encode()
+    n = draw(st.integers(2, 5))
+    upper = {(i, j): draw(RATES) for i in range(n) for j in range(i + 1, n)}
+    r = [[upper.get((min(i, j), max(i, j)), 0.0) for j in range(n)] for i in range(n)]
+    i, j = draw(st.permutations(range(n)))[:2]
+    if kind in ("asymmetric", "nan", "inf", "negative"):
+        r[i][j] = {"asymmetric": r[j][i] + 1.0, "nan": math.nan, "inf": math.inf,
+                   "negative": -1.0}[kind]
+    if kind == "disconnected":
+        r = [[v if (a < n // 2) == (b < n // 2) else 0.0 for b, v in enumerate(row)]
+             for a, row in enumerate(r)]
+    if kind == "ragged":
+        r[i] = r[i][:-1]
+    if name.endswith(".json"):
+        return name, json.dumps({"rates": r}).encode()
+    return name, "\n".join(" ".join(map(repr, row)) for row in r).encode()
+
+
+@st.composite
+def qiur_csvs(draw) -> tuple[str, bytes]:
+    """An x,re,im CSV (name, bytes): random or constant amplitudes, or one defect (NaN or
+    infinite amplitude, non-uniform x, a short row, a field over the csv module's limit),
+    at ordinary or extreme spacings and scales, and around the least grid size."""
+    defects = ["nan", "inf", "non-uniform", "short-row", "long-field"]
+    kind = draw(st.sampled_from(["random", "constant"] if draw(st.booleans()) else defects))
+    ordinary = draw(st.booleans())  # or extreme sizes, spacings, origins and scales
+    n = draw(st.sampled_from([64, 100, 128] if ordinary else [64, 1, 63]))
+    x0 = draw(st.sampled_from([0.0, -50.0] if ordinary else [0.0, 1e300]))
+    dx = draw(st.sampled_from([1.0, 0.05] if ordinary else [1e-20, 1e20, 1e-300, 1e300, 5e-324]))
+    scale = draw(st.sampled_from([1.0] if ordinary else [
+        1.0, 1e-170, 1e170, 5e-324, 1.7976931348623157e308]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = [[x0 + i * dx, *(scale * v for v in rng.standard_normal(2).tolist())]
+            for i in range(n)]
+    if kind == "constant":
+        rows = [[x, scale, 0.0] for x, _re, _im in rows]
+    cells = [[repr(v) for v in row] for row in rows]
+    if cells and kind in defects:
+        k, column = draw(st.integers(0, n - 1)), draw(st.sampled_from([1, 2]))
+        if kind in ("nan", "inf"):
+            cells[k][column] = kind
+        elif kind == "non-uniform":
+            cells[k][0] = repr(rows[k][0] + 0.5 * dx)
+        elif kind == "short-row":
+            cells[k] = cells[k][:2]
+        else:
+            cells[k][column] = "1" * 140_000
+    return "psi.csv", ("x,re,im\n" + "\n".join(",".join(row) for row in cells) + "\n").encode()
+
+
+#: name -> (scenario, the argv before the file's path, strategy of the file's (name, bytes))
+FILE_INPUTS = {
+    **{f"config-{s}": (s, [s, *COUNTS[s], "--config"], config_files(s)) for s in SCENARIOS},
+    "rates-file": ("h-theorem", ["h-theorem", "--samples", "5", "--rates-file"], rates_files()),
+    "qiur-csv": ("qiur", ["qiur", "--input"], qiur_csvs()),
+}
+
+
+@pytest.mark.parametrize("name", FILE_INPUTS)
+def test_every_file_ends_in_a_report_or_one_error_line(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a config's output key writes here
+    scenario, argv, files = FILE_INPUTS[name]
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(files)
+    def check(drawn):
+        filename, content = drawn
+        path = tmp_path / filename
+        path.write_bytes(content)
+        assert escape(scenario, [*argv, str(path)]) is None, content[:200]
+
+    check()

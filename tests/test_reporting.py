@@ -44,7 +44,7 @@ def test_cli_reports_a_non_finite_value_as_one_error_line(output, monkeypatch, t
     monkeypatch.chdir(tmp_path)
 
     def runner(*_):
-        yield
+        yield {}
         return {"x": np.inf}, {}, None
 
     monkeypatch.setitem(cli.SCENARIOS, "szilard", (runner, cli.SCENARIOS["szilard"][1]))

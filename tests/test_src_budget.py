@@ -1,9 +1,9 @@
-"""The line budget of src/: src/demonlab/*.py holds at most 2,332 lines, counted as wc -l
+"""The line budget of src/: src/demonlab/*.py holds at most 2,331 lines, counted as wc -l
 counts them (newline characters). Additions are paid for with deletions."""
 
 from pathlib import Path
 
-BUDGET = 2332
+BUDGET = 2331
 SRC = Path(__file__).resolve().parents[1] / "src" / "demonlab"
 
 
